@@ -3,8 +3,8 @@
 A ``RealAlgebraic`` is a primitive integer polynomial (its minimal
 polynomial, irreducibility supplied by the caller) together with a rational
 interval isolating exactly one of its real roots. All queries reduce to
-Sturm counts and exact rational evaluation; nothing is approximated unless
-explicitly asked for through ``approx``.
+Sturm counts and exact signs of integer polynomials at rationals; nothing is
+approximated unless explicitly asked for through ``approx``.
 
 There is deliberately no field arithmetic here: the classification
 pipelines only ever need linear maps of a single value (``affine_transform``)
@@ -21,10 +21,10 @@ from .polyring import (
     Rat,
     RationalInterval,
     RationalPoly,
+    _squarefree_int_model,
     cauchy_bound,
     content_and_primitive,
     format_poly,
-    squarefree_part,
     sturm_count,
 )
 
@@ -60,7 +60,7 @@ _REFINE_CAP = 4096
 def _ensure_squarefree(p: IntegerPoly) -> None:
     if p.is_zero:
         raise NotSquarefreeError("the zero polynomial is not squarefree")
-    if p.degree >= 1 and squarefree_part(p).degree != p.degree:
+    if _squarefree_int_model(p.coeffs).degree != p.degree:
         raise NotSquarefreeError(f"{p} has a repeated root")
 
 
@@ -70,7 +70,9 @@ class RealAlgebraic:
 
     Build through make_real_algebraic or from_rational; the constructor does
     not validate. The isolation interval is kept either degenerate (a known
-    rational value) or open with endpoints that are not roots of minpoly.
+    rational value) or open and holding exactly one root of minpoly. An
+    endpoint of an open isolation may itself be another root of minpoly:
+    make_real_algebraic(x^2-1, (-1, 2]) keeps -1 as its lower end.
     """
 
     minpoly: IntegerPoly
@@ -92,26 +94,38 @@ class RealAlgebraic:
         raise ParabkitError(f"{self} is not rational")
 
     def refined(self, max_width: Fraction) -> "RealAlgebraic":
-        """Same number with isolation width at most max_width."""
-        iv = self.isolation
-        if iv.is_point:
-            return self
+        """Same number with isolation width at most max_width.
+
+        Bisection on signs, with no root counting.  The minimal polynomial m
+        is squarefree and the open isolation (lo, hi) holds exactly one of its
+        roots, alpha, so alpha is simple and m has one sign s on (lo, alpha)
+        and the opposite sign on (alpha, hi).  A midpoint where m has sign s
+        lies left of alpha, one with sign -s right of it, and sign 0 is alpha.
+        When lo is not a root, s = sign m(lo).  When lo is a root (an excluded
+        endpoint, see the class docstring) it is simple and (lo, alpha) holds
+        no root, so s = sign m'(lo).  Every sign is exact, in integers.
+        """
         max_width = Fraction(max_width)
+        iv = self.isolation
+        if iv.is_point or iv.width <= max_width:
+            return self
+        m = self.minpoly
+        lo, hi = iv.lo, iv.hi
+        left = m.sign_at(lo) or m.derivative().sign_at(lo)
         steps = 0
-        while iv.width > max_width:
+        while hi - lo > max_width:
             steps += 1
             if steps > _REFINE_CAP:
                 raise ParabkitError("isolation refinement did not converge")
-            mid = iv.midpoint
-            if self.minpoly.evaluate(mid) == 0:
-                iv = RationalInterval(mid, mid)
-                break
-            half = RationalInterval(iv.lo, mid, True, True)
-            if sturm_count(self.minpoly, half) == 1:
-                iv = half
+            mid = (lo + hi) / 2
+            s = m.sign_at(mid)
+            if s == 0:
+                return RealAlgebraic(m, RationalInterval(mid, mid))
+            if s == left:
+                lo = mid
             else:
-                iv = RationalInterval(mid, iv.hi, True, True)
-        return RealAlgebraic(self.minpoly, iv)
+                hi = mid
+        return RealAlgebraic(m, RationalInterval(lo, hi, True, True))
 
     def approx(self, digits: int = 12) -> Fraction:
         """Rational approximation within 10**-digits of the true value."""
@@ -122,7 +136,7 @@ class RealAlgebraic:
         if self.is_rational:
             v = self.to_rational()
             return (v > q) - (v < q)
-        if self.minpoly.evaluate(q) == 0 and self.isolation.contains(q):
+        if self.isolation.contains(q) and self.minpoly.sign_at(q) == 0:
             return 0
         iv = self.isolation
         steps = 0
@@ -209,7 +223,7 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
         raise NotIsolatingError(f"{interval} contains {hits} roots of {p}, expected 1")
     # pin rational endpoint roots to a degenerate interval
     for endpoint in (interval.lo, interval.hi):
-        if interval.contains(endpoint) and p.evaluate(endpoint) == 0:
+        if interval.contains(endpoint) and p.sign_at(endpoint) == 0:
             return RealAlgebraic(p, RationalInterval(endpoint, endpoint))
     if p.degree == 1:
         root = Fraction(-p.coeff(0), p.coeff(1))
@@ -272,32 +286,50 @@ def affine_transform(alpha: RealAlgebraic, s: Rat, t: Rat) -> RealAlgebraic:
     return make_real_algebraic(prim, RationalInterval(lo, hi, lo_s, hi_s))
 
 
+def _scaled_remainder(p: IntegerPoly, m: IntegerPoly) -> IntegerPoly:
+    # d^(deg p + 1) * (p mod m), where d = lc(m) > 0: the same sign as p at
+    # every root of m, with no division.  Horner's rule in Z[x]/(m), each step
+    # scaled by d so that d*x^k can be replaced by minus the lower part of m.
+    d, low = m.leading, m.coeffs[:-1]
+    acc = [0] * len(low)
+    scale = 1
+    for c in reversed(p.coeffs):
+        top = acc[-1]
+        acc = [d * a - top * mj for a, mj in zip([0] + acc[:-1], low)]
+        scale *= d
+        acc[0] += scale * c
+    return IntegerPoly(acc)
+
+
 def sign_at(p: IntegerPoly, alpha: RealAlgebraic) -> int:
     """Exact sign of p(alpha): -1, 0, or +1.
 
-    Zero is decided by divisibility (minpoly | p, using irreducibility);
-    otherwise the isolating interval is bisected until p has no root inside,
-    at which point the sign at any interior rational is the answer.
+    Zero is decided by divisibility (minpoly | p, using irreducibility).
+    Otherwise p is reduced modulo the minimal polynomial, in integers, to a
+    positive multiple q of the remainder, which has the sign of p at alpha.
+    The isolation of alpha is then narrowed by refined(), which bisects on
+    signs of the minimal polynomial, by 1, 2, 4, ... halvings per round until
+    sturm_count finds no root of q in it; doubling keeps the number of root
+    counts logarithmic in the halvings needed.  q has one sign on that whole
+    interval, so its sign at the midpoint, taken in integers by
+    IntegerPoly.sign_at, is the sign of p(alpha).  Every sturm_count call on
+    q after the first reuses its cached squarefree model and Sturm chain.
     """
     if p.is_zero:
         return 0
     if alpha.is_rational:
-        v = p.to_rational().evaluate(alpha.to_rational())
-        return (v > 0) - (v < 0)
-    r = p.to_rational()
-    if r.degree >= alpha.minpoly.degree:
-        _, r = r.divmod_poly(alpha.minpoly.to_rational())
-        if r.is_zero:
-            return 0
+        return p.sign_at(alpha.to_rational())
+    m = alpha.minpoly
+    q = _scaled_remainder(p, m)
+    if q.is_zero:
+        return 0
     iv = alpha.isolation
-    value = RealAlgebraic(alpha.minpoly, iv)
-    for _ in range(_REFINE_CAP):
-        if sturm_count(r, iv) == 0:
-            v = r.evaluate(iv.midpoint)
-            return (v > 0) - (v < 0)
-        value = value.refined(iv.width / 2)
-        iv = value.isolation
+    halvings = 1
+    while halvings <= _REFINE_CAP:
         if iv.is_point:
-            v = r.evaluate(iv.lo)
-            return (v > 0) - (v < 0)
+            return q.sign_at(iv.lo)
+        if sturm_count(q, iv) == 0:
+            return q.sign_at(iv.midpoint)
+        iv = RealAlgebraic(m, iv).refined(iv.width / 2**halvings).isolation
+        halvings *= 2
     raise ParabkitError("sign refinement did not converge")

@@ -23,13 +23,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 import mpmath
 
 from .algebraic import (
+    NotIsolatingError,
     NotSquarefreeError,
     RealAlgebraic,
     affine_transform,
@@ -62,6 +63,7 @@ from .polyring import (
     ParseError,
     Rat,
     RationalInterval,
+    ZeroPolynomialError,
     content_and_primitive,
     format_poly,
     isolate_real_roots,
@@ -122,7 +124,7 @@ class Certificate:
 class Environment:
     nmax: int
     precision: int
-    runtime_ms: int
+    runtime_ms: int = field(compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,11 +138,15 @@ class ClassificationReport:
 
 
 def _mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf."""
-    m = mpmath.mpf(x)
-    if not mpmath.isfinite(m):
-        raise ValueError(f"cannot convert {m} to a fraction")
-    sign, man, exp, _ = m._mpf_
+    """Exact rational value of a finite mpf.
+
+    The raw (sign, mantissa, exponent) tuple is read as it is: converting
+    through mpmath.mpf first would round x to the current working precision,
+    which may move an upper bound below the value it bounds.
+    """
+    if not mpmath.isfinite(x):
+        raise ValueError(f"cannot convert {x} to a fraction")
+    sign, man, exp, _ = x._mpf_
     value = Fraction(man) * Fraction(2) ** exp
     return -value if sign else value
 
@@ -327,7 +333,7 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
             if not (finite and preperiod >= 1):
                 raise PipelineMismatchError("-2 is no longer strictly preperiodic")
             for n in range(1, nmax + 1):
-                if discriminant_Pn(n).evaluate(-8) == 0:
+                if discriminant_Pn(n).sign_at(-8) == 0:
                     raise PipelineMismatchError(f"P_{n}(-8) vanished")
             certificates.append(
                 Certificate(
@@ -483,7 +489,7 @@ def parse_parameter(text: str) -> RealAlgebraic:
     return make_real_algebraic(prim, RationalInterval(lo, hi))
 
 
-_USAGE_ERRORS = (ParseError,)
+_USAGE_ERRORS = (ParseError, NotIsolatingError, ZeroPolynomialError)
 _VERIFICATION_ERRORS = (
     PipelineMismatchError,
     PrecisionInsufficientError,

@@ -494,7 +494,7 @@ def is_parabolic_up_to(
     else:
         b_value = 4 * Fraction(c)
         for n in range(1, nmax + 1):
-            if discriminant_Pn(n, cap=cap).evaluate(b_value) == 0:
+            if discriminant_Pn(n, cap=cap).sign_at(b_value) == 0:
                 return ParabolicVerdict("parabolic", n)
     return ParabolicVerdict("not-up-to-bound", nmax)
 

@@ -13,7 +13,9 @@ Coefficients are stored low-to-high (``coeffs[i]`` multiplies ``x**i``) and
 rendered high-to-low. Resultants use the subresultant polynomial remainder
 sequence, which stays in the coefficient ring with exact divisions only.
 Real-root counting uses Sturm chains built from sign-corrected primitive
-pseudo-remainders; root isolation is Sturm-guided bisection.
+pseudo-remainders; root isolation is Sturm-guided bisection. The sign of an
+integer polynomial at a rational a/b is always taken as the sign of
+b^deg * q(a/b), in integers (``IntegerPoly.sign_at``).
 """
 from __future__ import annotations
 
@@ -321,6 +323,14 @@ class IntegerPoly:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x: Rat) -> int:
+        """Sign of self(x) at a rational x, in integer arithmetic only.
+
+        >>> IntegerPoly((-2, 0, 1)).sign_at(Fraction(3, 2))
+        1
+        """
+        return _sign_at(self.coeffs, x.numerator, x.denominator)
+
     def derivative(self) -> "IntegerPoly":
         return IntegerPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
@@ -612,41 +622,6 @@ def discriminant(p):
     return s * r / p.leading
 
 
-def _sylvester_resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
-    # Independent O(n^3) oracle: determinant of the Sylvester matrix.
-    if p.is_zero or q.is_zero:
-        raise ZeroPolynomialError("resultant of the zero polynomial")
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in pc] + [Fraction(0)] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in qc] + [Fraction(0)] * (size - i - n - 1))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv
-            if factor:
-                for cc in range(col, size):
-                    rows[r][cc] -= factor * rows[col][cc]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # bivariate layer: polynomials in z over Z[c]
 
@@ -778,11 +753,6 @@ def _disc_sign(d: int) -> int:
     return -1 if (d * (d - 1) // 2) % 2 else 1
 
 
-def _int_poly_discriminant(p: IntegerPoly) -> int:
-    r = _resultant_lists(list(p.coeffs), list(p.derivative().coeffs), _INT_RING)
-    return _int_exact_div(_disc_sign(p.degree) * r, p.leading)
-
-
 def _resultant_in_z_interpolated(P: IteratedMapPoly, Q: IteratedMapPoly, bound: int) -> IntegerPoly:
     # Evaluate c at integer nodes, take exact integer resultants, interpolate.
     # Nodes where either leading z-coefficient vanishes are skipped: there the
@@ -792,7 +762,7 @@ def _resultant_in_z_interpolated(P: IteratedMapPoly, Q: IteratedMapPoly, bound: 
     k = 0
     lcP, lcQ = P.leading_in_z, Q.leading_in_z
     while len(nodes) < bound + 1:
-        if lcP.evaluate(k) != 0 and lcQ.evaluate(k) != 0:
+        if lcP.sign_at(k) and lcQ.sign_at(k):
             pk = P.evaluate_at_c_int(k)
             qk = Q.evaluate_at_c_int(k)
             nodes.append(k)
@@ -880,18 +850,29 @@ def _sturm_chain(coeffs: tuple) -> tuple:
     return tuple(chain)
 
 
+def _sign_at(cs: tuple, a: int, b: int) -> int:
+    # Sign of b^deg * q(a/b) for integer coefficients cs (low-to-high) and
+    # b > 0, which is the sign of q(a/b): Horner's rule on the homogenised
+    # polynomial sum c_i a^i b^(deg-i), all in integers.
+    if not cs:
+        return 0
+    acc = cs[-1]
+    power = 1
+    for i in range(len(cs) - 2, -1, -1):
+        power *= b
+        acc = acc * a + cs[i] * power
+    return (acc > 0) - (acc < 0)
+
+
 def _sign_changes(chain: tuple, x: Fraction) -> int:
-    signs = []
+    a, b = x.numerator, x.denominator
+    flips = last = 0
     for cs in chain:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        if acc:
-            signs.append(1 if acc > 0 else -1)
-    flips = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            flips += 1
+        s = _sign_at(cs, a, b)
+        if s:
+            if last and s != last:
+                flips += 1
+            last = s
     return flips
 
 
@@ -915,9 +896,13 @@ def squarefree_part(p) -> RationalPoly:
     return p.divide_exact(g).monic()
 
 
-def _squarefree_int_model(p) -> IntegerPoly:
-    sf = squarefree_part(p)
-    _, prim = content_and_primitive(sf)
+@lru_cache(maxsize=512)
+def _squarefree_int_model(coeffs: tuple) -> IntegerPoly:
+    # Squarefree primitive integer model, positive leading coefficient, of the
+    # nonzero polynomial with these coefficients.  Equal int and Fraction
+    # tuples hash and compare equal, so an IntegerPoly and an equal
+    # RationalPoly share one cache entry.
+    _, prim = content_and_primitive(squarefree_part(RationalPoly(coeffs)))
     return prim
 
 
@@ -946,10 +931,10 @@ def _sturm_count_int(q: IntegerPoly, interval: RationalInterval) -> int:
     if q.degree <= 0:
         return 0
     if interval.is_point:
-        return 1 if q.evaluate(interval.lo) == 0 else 0
+        return 1 if q.sign_at(interval.lo) == 0 else 0
     total = 0
     for endpoint, strict in ((interval.lo, interval.lo_strict), (interval.hi, interval.hi_strict)):
-        if q.degree > 0 and q.evaluate(endpoint) == 0:
+        if q.degree > 0 and q.sign_at(endpoint) == 0:
             if not strict:
                 total += 1
             q = _divide_out_root(q, endpoint)
@@ -963,17 +948,20 @@ def _sturm_count_int(q: IntegerPoly, interval: RationalInterval) -> int:
 def sturm_count(p, interval: RationalInterval) -> int:
     """Number of distinct real roots of p in the interval.
 
-    Works on the squarefree primitive model internally, so repeated roots are
-    counted once; endpoint membership follows the strictness flags exactly.
+    Works on the squarefree primitive integer model of p, so repeated roots
+    are counted once.  That model and its Sturm chain are each computed once
+    per coefficient tuple and kept in bounded LRU caches, so repeated counts
+    on one polynomial (bisection) cost only the sign evaluations.  Roots at
+    the endpoints are divided out and counted by the strictness flags; the
+    rest is V(lo) - V(hi), the drop in sign changes of the chain, with every
+    sign taken exactly in integers as the sign of b^deg * q(a/b) at a/b.
 
     >>> sturm_count(RationalPoly((-2, 0, 1)), RationalInterval(0, 2))
     1
     """
-    if isinstance(p, IntegerPoly):
-        p = p.to_rational()
     if p.is_zero:
         raise ZeroPolynomialError("root counting needs a nonzero polynomial")
-    return _sturm_count_int(_squarefree_int_model(p), interval)
+    return _sturm_count_int(_squarefree_int_model(p.coeffs), interval)
 
 
 def _count_open(q: IntegerPoly, lo: Fraction, hi: Fraction) -> int:
@@ -990,11 +978,9 @@ def isolate_real_roots(p):
     intervals; every open interval is refined to width <= 1/4. Intervals are
     returned in ascending root order.
     """
-    if isinstance(p, IntegerPoly):
-        p = p.to_rational()
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    q = _squarefree_int_model(p)
+    q = _squarefree_int_model(p.coeffs)
     if q.degree <= 0:
         return ()
     bound = cauchy_bound(q)
@@ -1009,7 +995,7 @@ def isolate_real_roots(p):
             found.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if q.evaluate(mid) == 0:
+        if q.sign_at(mid) == 0:
             found.append((mid, mid))
         stack.append((lo, mid))
         stack.append((mid, hi))
@@ -1020,7 +1006,7 @@ def isolate_real_roots(p):
             continue
         while hi - lo > _ISOLATION_WIDTH:
             mid = (lo + hi) / 2
-            if q.evaluate(mid) == 0:
+            if q.sign_at(mid) == 0:
                 lo = hi = mid
                 break
             if _count_open(q, lo, mid) == 1:

@@ -18,6 +18,7 @@ from parabkit.polyring import (
     IntegerPoly,
     RationalInterval,
     RationalPoly,
+    ZeroPolynomialError,
     cauchy_bound,
     discriminant,
     format_poly,
@@ -205,3 +206,50 @@ def check_multiplier_numeric(tol: float = 1e-9) -> float:
             assert rel < tol, (g.coeffs, float(rel))
             worst = max(worst, float(rel))
     return worst
+
+
+def sylvester_resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
+    """Independent O(n^3) resultant oracle: determinant of the Sylvester matrix."""
+    if p.is_zero or q.is_zero:
+        raise ZeroPolynomialError("resultant of the zero polynomial")
+    m, n = p.degree, q.degree
+    if m == 0:
+        return p.coeffs[0] ** n
+    if n == 0:
+        return q.coeffs[0] ** m
+    size = m + n
+    rows = []
+    pc = list(reversed(p.coeffs))
+    qc = list(reversed(q.coeffs))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + [Fraction(c) for c in pc] + [Fraction(0)] * (size - i - m - 1))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + [Fraction(c) for c in qc] + [Fraction(0)] * (size - i - n - 1))
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] * inv
+            if factor:
+                for cc in range(col, size):
+                    rows[r][cc] -= factor * rows[col][cc]
+    return det
+
+
+def fraction_sign_changes(chain: tuple, x: Fraction) -> int:
+    """Sign changes of a coefficient-tuple sequence at x, by Fraction Horner."""
+    signs = []
+    for cs in chain:
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        if acc:
+            signs.append(1 if acc > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

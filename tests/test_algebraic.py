@@ -4,10 +4,13 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parabkit.algebraic import (
     NotIsolatingError,
     NotSquarefreeError,
+    RealAlgebraic,
     ZeroScaleError,
     affine_transform,
     all_conjugates_in,
@@ -16,7 +19,14 @@ from parabkit.algebraic import (
     make_real_algebraic,
     sign_at,
 )
-from parabkit.polyring import IntegerPoly, RationalInterval, isolate_real_roots
+from parabkit.polyring import (
+    IntegerPoly,
+    RationalInterval,
+    RationalPoly,
+    content_and_primitive,
+    isolate_real_roots,
+    sturm_count,
+)
 
 SQRT2_POLY = IntegerPoly((-2, 0, 1))
 GOLDEN_POLY = IntegerPoly((-1, 1, 1))  # roots (-1 +- sqrt5)/2
@@ -92,6 +102,53 @@ def test_refined_preserves_identity():
     tight = sqrt2.refined(F(1, 10**12))
     assert tight == sqrt2
     assert tight.isolation.width <= F(1, 10**12)
+
+
+def test_excluded_endpoint_root_keeps_the_isolated_root():
+    # -1 is a root of x^2-1 but lies outside (-1, 2]; the one root inside is 1.
+    one = make_real_algebraic(IntegerPoly((-1, 0, 1)), RationalInterval(F(-1), F(2), lo_strict=True))
+    assert one == 1
+    assert one.refined(F(1, 2**40)).isolation.contains(F(1))
+    assert from_rational(F(1, 2)) < one < from_rational(F(3, 2))
+
+
+def test_both_endpoints_roots_open_interval():
+    zero = make_real_algebraic(IntegerPoly((0, -1, 0, 1)), RationalInterval(F(-1), F(1), True, True))
+    assert zero == 0
+    assert zero.is_rational and zero.to_rational() == 0
+
+
+@given(
+    roots=st.sets(st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=5),
+    shift=st.sampled_from((-7, -6, -5, -3, -2, 1, 2, 5)),
+    exponent=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_refined_keeps_one_root(roots, shift, exponent):
+    # Distinct rational roots times x^2 + shift (two irrational roots or
+    # none): always squarefree.  Each interval from isolate_real_roots is
+    # also widened to end at the neighbouring rational roots where it still
+    # isolates one root, so excluded endpoint roots are exercised.
+    p = RationalPoly((F(shift), F(0), F(1)))
+    for r in roots:
+        p = p * RationalPoly((-r, F(1)))
+    _, p = content_and_primitive(p)
+    width = F(1, 2**exponent)
+    for iv in isolate_real_roots(p):
+        if iv.is_point:
+            continue
+        wide = iv
+        below = max((r for r in roots if r <= iv.lo), default=iv.lo)
+        above = min((r for r in roots if r >= iv.hi), default=iv.hi)
+        for lo, hi in ((below, wide.hi), (wide.lo, above)):
+            candidate = RationalInterval(lo, hi, True, True)
+            if sturm_count(p, candidate) == 1:
+                wide = candidate
+        for value in (RealAlgebraic(p, wide), make_real_algebraic(p, wide)):
+            tight = value.refined(width).isolation
+            assert sturm_count(p, tight) == 1
+            assert tight.is_point or tight.width <= width
+            assert wide.lo <= tight.lo and tight.hi <= wide.hi  # so the same root
 
 
 def test_str_forms():

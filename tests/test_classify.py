@@ -19,9 +19,9 @@ from parabkit.classify import (
     report_from_json,
     report_to_json,
 )
-from parabkit.algebraic import NotIsolatingError, from_rational
+from parabkit.algebraic import NotIsolatingError, from_rational, make_real_algebraic
 from parabkit.dynamics import PrecisionInsufficientError
-from parabkit.polyring import ParseError
+from parabkit.polyring import IntegerPoly, ParseError, RationalInterval
 
 
 def run_cli(*argv):
@@ -128,6 +128,17 @@ def test_prop2_elimination_details(prop2_report):
     for cert in (pcf, parity, attracting, galois):
         assert cert.checked_up_to == 5
     assert sum(1 for c in prop2_report.certificates if c.modulus_bound is not None) == 1
+
+
+def test_prop2_modulus_bound_is_an_upper_bound(prop2_report):
+    # The multiplier of the attracting 4-cycle at c = (-13 + sqrt5)/8 is the
+    # root in (-1, 0) of this integer polynomial; the bound must lie above its
+    # modulus exactly, not only after rounding to 53 bits.
+    norm = IntegerPoly((1135061, 1930947, 69670, 10807, 922, -9, 1))
+    lam = make_real_algebraic(norm, RationalInterval(F(-1), F(0), True, True))
+    (bound,) = [c.modulus_bound for c in prop2_report.certificates if c.modulus_bound is not None]
+    assert lam > -bound
+    assert bound < 1
 
 
 def test_prop2_nmax_too_small_is_a_mismatch():
@@ -294,6 +305,8 @@ def test_cli_usage_errors():
     assert run_cli("classify", "--c", "zz**")[0] == 2
     assert run_cli("pn")[0] == 2
     assert run_cli()[0] == 2
+    assert run_cli("classify", "--c", "x^2-5@[0,1]")[0] == 2  # no root in the interval
+    assert run_cli("isolate", "--poly", "0")[0] == 2
 
 
 def test_cli_negative_values_after_space():

@@ -27,7 +27,7 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _sylvester_resultant
+from parabkit.polyring import _sign_changes
 
 rational = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 rational_polys = st.lists(rational, min_size=1, max_size=7).map(lambda cs: RationalPoly(tuple(cs)))
@@ -126,7 +126,7 @@ def test_resultant_matches_sylvester(p, q):
     pr, qr = p.to_rational(), q.to_rational()
     if pr.degree < 1 or qr.degree < 1:
         return
-    assert resultant(pr, qr) == _sylvester_resultant(pr, qr)
+    assert resultant(pr, qr) == helpers.sylvester_resultant(pr, qr)
 
 
 def test_resultant_numeric_oracle():
@@ -174,6 +174,38 @@ def test_sturm_count_endpoints():
     assert sturm_count(p, RationalInterval(F(1), F(1))) == 1
     assert sturm_count(p, RationalInterval(F(-1, 2), F(1, 2))) == 0
     assert sturm_count(parse_poly("x^2-2"), RationalInterval(F(0), F(2))) == 1
+
+
+wide_rational = st.fractions(min_value=-50, max_value=50, max_denominator=2**70)
+int_coeffs = st.lists(st.integers(min_value=-(2**80), max_value=2**80), min_size=0, max_size=7)
+
+
+@given(chain=st.lists(int_coeffs, min_size=1, max_size=6), x=wide_rational)
+@settings(max_examples=150, deadline=None)
+def test_sign_changes_match_fraction_horner(chain, x):
+    chain = tuple(tuple(cs) for cs in chain)
+    assert _sign_changes(chain, x) == helpers.fraction_sign_changes(chain, x)
+
+
+@given(cs=int_coeffs, x=wide_rational)
+@settings(max_examples=150, deadline=None)
+def test_integer_sign_at_matches_evaluation(cs, x):
+    q = IntegerPoly(tuple(cs))
+    value = q.to_rational().evaluate(x)
+    assert q.sign_at(x) == (value > 0) - (value < 0)
+
+
+@given(p=small_int_polys, lo=rational, hi=rational, flags=st.tuples(st.booleans(), st.booleans()))
+@settings(max_examples=100, deadline=None)
+def test_sturm_count_integer_and_rational_agree(p, lo, hi, flags):
+    if p.is_zero:
+        return
+    lo, hi = min(lo, hi), max(lo, hi)
+    iv = RationalInterval(lo, hi, *flags) if lo < hi else RationalInterval(lo, hi)
+    r = p.to_rational()
+    # an IntegerPoly and the equal RationalPoly share one cached model
+    assert sturm_count(p, iv) == sturm_count(r, iv)
+    assert sturm_count(r * F(-2, 3), iv) == sturm_count(p, iv)
 
 
 def test_sturm_vs_numeric_and_constructed():
