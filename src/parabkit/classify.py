@@ -20,14 +20,13 @@ versioned JSON schema and back.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
-
-import mpmath
 
 from .algebraic import (
     NotIsolatingError,
@@ -42,12 +41,14 @@ from .algebraic import (
 from .cyclotomic import NotMonicError, admissible_orders, is_cyclotomic_product, trace_polynomial
 from .dynamics import (
     DISCRIMINANT_CAP,
+    ESCAPES_TO_INFINITY,
     CapExceededError,
     DegreeMismatchError,
     MultiplierMismatchError,
     NoConvergenceError,
     NotAFactorError,
     PrecisionInsufficientError,
+    RealBehavior,
     cycle_multiplier,
     discriminant_Pn,
     find_attracting_cycle_numeric,
@@ -135,20 +136,6 @@ class ClassificationReport:
     parameters: tuple
     certificates: tuple
     environment: Environment
-
-
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf.
-
-    The raw (sign, mantissa, exponent) tuple is read as it is: converting
-    through mpmath.mpf first would round x to the current working precision,
-    which may move an upper bound below the value it bounds.
-    """
-    if not mpmath.isfinite(x):
-        raise ValueError(f"cannot convert {x} to a fraction")
-    sign, man, exp, _ = x._mpf_
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
 
 
 PROP1_EXPECTED = (Fraction(-2), Fraction(-1), Fraction(0))
@@ -323,7 +310,6 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
     # The one numeric elimination: the larger quadratic candidate carries an
     # attracting cycle of period 4, so no cycle multiplier is a root of unity.
     numeric = find_attracting_cycle_numeric(golden_high, 4, precision=precision)
-    bound = _mpf_to_fraction(numeric.modulus_upper)
     if not numeric.exact_period:
         raise PipelineMismatchError("period-4 boxes were not pairwise disjoint")
 
@@ -378,9 +364,9 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
                     candidate,
                     "eliminated",
                     f"AttractingCycle(period {numeric.period}, "
-                    f"|multiplier| <= {mpmath.nstr(numeric.modulus_upper, 8)})",
+                    f"|multiplier| <= {float(numeric.modulus_upper):.8g})",
                     nmax,
-                    modulus_bound=bound,
+                    modulus_bound=numeric.modulus_upper,
                 )
             )
         elif candidate == golden_low:
@@ -574,17 +560,21 @@ def _run_classify(args) -> int:
     parameter = parse_parameter(args.c)
     if parameter.is_rational:
         behavior = real_behavior(parameter.to_rational())
-        detail = f" {behavior.detail}" if behavior.detail else ""
-        if getattr(args, "json", False):
-            _emit_json(args, {"c": str(parameter), "tag": behavior.tag, "detail": list(behavior.detail)})
-        else:
-            _emit(args, f"{parameter}: {behavior.tag}{detail}")
-        return 0
-    verdict = is_parabolic_up_to(parameter, DISCRIMINANT_CAP)
-    if getattr(args, "json", False):
-        _emit_json(args, {"c": str(parameter), "parabolic": str(verdict)})
+    elif parameter < -2 or parameter > Fraction(1, 4):
+        # Same answer as real_behavior gives a rational c outside [-2, 1/4].
+        behavior = RealBehavior(ESCAPES_TO_INFINITY)
     else:
-        _emit(args, f"{parameter}: {verdict}")
+        verdict = is_parabolic_up_to(parameter, DISCRIMINANT_CAP)
+        if getattr(args, "json", False):
+            _emit_json(args, {"c": str(parameter), "parabolic": str(verdict)})
+        else:
+            _emit(args, f"{parameter}: {verdict}")
+        return 0
+    detail = f" {behavior.detail}" if behavior.detail else ""
+    if getattr(args, "json", False):
+        _emit_json(args, {"c": str(parameter), "tag": behavior.tag, "detail": list(behavior.detail)})
+    else:
+        _emit(args, f"{parameter}: {behavior.tag}{detail}")
     return 0
 
 
@@ -628,7 +618,10 @@ def _run_isolate(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first cli_main call, not at import, and reused: parse_args
+    # returns a fresh namespace and leaves the parser unchanged.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", default=argparse.SUPPRESS, help="emit JSON output"

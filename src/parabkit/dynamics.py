@@ -4,24 +4,24 @@ Symbolic iterates and period polynomials live in ``IteratedMapPoly`` (monic in
 z over Z[c]).  From those this module derives the discriminant polynomials
 P_n(b), defined by disc_z(f_c^n(z) - z) = P_n(4c), together with parity
 certificates at b = 0 and b = -6, dynatomic polynomials, exact cycle
-multipliers, orbit tests for rational parameters, and one deliberately
-non-exact operation: an interval-certified numeric search for attracting
-cycles.
+multipliers, orbit tests for rational parameters, and one numeric search
+for attracting cycles that is certified by interval arithmetic.
 
 Everything except ``find_attracting_cycle_numeric`` is exact integer or
-rational arithmetic.  The numeric search works in interval arithmetic
-throughout and only reports a cycle when a containment argument proves one
-exists and the multiplier bound is conclusive.
+rational arithmetic.  The numeric search works on closed intervals whose
+ends are Python integers scaled by 2^-bits, rounded outward at every
+product (lower ends down, upper ends up), so it uses no floating point and
+no global state; it only reports a cycle when a containment argument proves
+one exists and the multiplier bound is conclusive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Union
-
-import mpmath
+from typing import NamedTuple, Optional, Union
 
 from .algebraic import RealAlgebraic, affine_transform, sign_at
 from .cyclotomic import divisors, moebius
@@ -115,9 +115,14 @@ class NoConvergenceError(ParabkitError):
 
 
 class PrecisionInsufficientError(ParabkitError):
-    """The interval certificate is inconclusive at the working precision."""
+    """The interval certificate is inconclusive at the working precision.
 
-    def __init__(self, message: str, modulus_upper=None):
+    ``modulus_upper`` is the smallest multiplier bound (an exact dyadic
+    ``Fraction``) among the containment boxes tried, or None when no box
+    was invariant.
+    """
+
+    def __init__(self, message: str, modulus_upper: Optional[Fraction] = None):
         super().__init__(message)
         self.modulus_upper = modulus_upper
 
@@ -210,17 +215,18 @@ class NumericCycleCertificate:
     """Interval-certified attracting cycle.
 
     ``points`` are approximate cycle points (midpoints of the certified
-    boxes, in orbit order).  ``modulus_upper`` is a rigorous upper bound on
-    the cycle multiplier modulus; the certificate is only issued when it is
-    below 1.  ``exact_period`` is True when the boxes are pairwise disjoint,
-    which proves the cycle period is exactly ``period`` rather than a proper
-    divisor of it.
+    boxes, in orbit order) and ``multiplier_estimate`` is the midpoint of the
+    multiplier box.  ``modulus_upper`` is a rigorous upper bound on the cycle
+    multiplier modulus; the certificate is only issued when it is below 1.
+    All three hold exact dyadic ``Fraction`` values.  ``exact_period`` is
+    True when the boxes are pairwise disjoint, which proves the cycle period
+    is exactly ``period`` rather than a proper divisor of it.
     """
 
     period: int
     points: tuple
-    multiplier_estimate: object
-    modulus_upper: object
+    multiplier_estimate: Fraction
+    modulus_upper: Fraction
     exact_period: bool
     precision: int
 
@@ -499,70 +505,95 @@ def is_parabolic_up_to(
     return ParabolicVerdict("not-up-to-bound", nmax)
 
 
-def _iv_fraction(value: Fraction):
-    # Integer conversion is exact; the single division rounds outward.
-    return mpmath.iv.mpf(value.numerator) / mpmath.iv.mpf(value.denominator)
+def _precision_bits(precision: int) -> int:
+    # A binary float of d decimal digits has round((d + 1) log2 10) bits of
+    # mantissa, so one bit fewer is its ulp on [1, 2), where the orbit lives.
+    return round((precision + 1) * math.log2(10)) - 1
 
 
-def _enclose_parameter(c: Union[Rat, RealAlgebraic], precision: int):
+def _scaled_floor(q: Fraction, bits: int) -> int:
+    return (q.numerator << bits) // q.denominator
+
+
+def _enclose_parameter(c: Union[Rat, RealAlgebraic], precision: int, bits: int):
     if isinstance(c, RealAlgebraic):
         if c.is_rational:
-            return _iv_fraction(c.to_rational())
-        refined = c.refined(Fraction(1, 10 ** (precision + 5)))
-        iso = refined.isolation
-        if iso.is_point:
-            return _iv_fraction(iso.lo)
-        return mpmath.iv.mpf([_lower(_iv_fraction(iso.lo)), _upper(_iv_fraction(iso.hi))])
-    return _iv_fraction(Fraction(c))
+            lo = hi = c.to_rational()
+        else:
+            iso = c.refined(Fraction(1, 10 ** (precision + 5))).isolation
+            lo, hi = iso.lo, iso.hi
+    else:
+        lo = hi = Fraction(c)
+    return _scaled_floor(lo, bits), -_scaled_floor(-hi, bits)
 
 
-def _lower(box):
-    # box.a is a zero-width interval; the conversion to mpf is exact.
-    return mpmath.mpf(box.a)
+# A box (lo, hi) of integers stands for the closed interval
+# [lo * 2^-bits, hi * 2^-bits].  A product of two boxes carries 2 * bits
+# fractional bits; dropping bits rounds the lower end down (>> floors) and
+# the upper end up (-((-x) >> bits) is the ceiling), so every result encloses
+# the exact image.
 
 
-def _upper(box):
-    return mpmath.mpf(box.b)
+def _square_plus(z, c, bits: int):
+    """Outward-rounded enclosure of {x^2 + y : x in z, y in c}."""
+    lo, hi = z
+    if lo >= 0:
+        sq_lo, sq_hi = lo * lo, hi * hi
+    elif hi <= 0:
+        sq_lo, sq_hi = hi * hi, lo * lo
+    else:
+        sq_lo, sq_hi = 0, max(lo * lo, hi * hi)
+    return (sq_lo >> bits) + c[0], -((-sq_hi) >> bits) + c[1]
 
 
-def _midpoint(box):
-    return (_lower(box) + _upper(box)) / 2
+def _mul(x, y, bits: int):
+    """Outward-rounded enclosure of {a * b : a in x, b in y}."""
+    corners = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(corners) >> bits, -((-max(corners)) >> bits)
 
 
-def _width(box):
-    return _upper(box) - _lower(box)
+def _midpoint(box) -> int:
+    return (box[0] + box[1]) >> 1
+
+
+def _width(box) -> int:
+    return box[1] - box[0]
 
 
 def _pairwise_disjoint(boxes) -> bool:
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
-            if not (_upper(boxes[i]) < _lower(boxes[j]) or _upper(boxes[j]) < _lower(boxes[i])):
+            if not (boxes[i][1] < boxes[j][0] or boxes[j][1] < boxes[i][0]):
                 return False
     return True
 
 
 def _cycle_search(c, n, precision, budget):
-    enclosure = _enclose_parameter(c, precision)
-    noise = mpmath.mpf(10) ** (1 - precision)
-    z = mpmath.iv.mpf(0)
+    bits = _precision_bits(precision)
+    one = 1 << bits
+    enclosure = _enclose_parameter(c, precision, bits)
+    noise = -(-one // 10 ** (precision - 1))  # 10^(1 - precision), in ulps
+    z = (0, 0)
     recent = []  # interval orbit points, trimmed to the last n + 1
     steps = 0
     stabilized = False
     while steps < budget:
-        z = z * z + enclosure
+        z = _square_plus(z, enclosure, bits)
         steps += 1
         recent.append(z)
         if len(recent) > n + 1:
             recent.pop(0)
         mid = _midpoint(z)
-        if not mpmath.isfinite(mid) or abs(mid) > 4:
+        # No box end falls below the parameter box's lower end, so a bounded
+        # midpoint also bounds the width and the integers stay small.
+        if abs(mid) > 4 * one:
             raise NoConvergenceError(
                 f"orbit left the bounded region after {steps} steps"
             )
         if len(recent) == n + 1:
             move = abs(mid - _midpoint(recent[0]))
-            scale = max(mpmath.mpf(1), abs(mid))
-            tolerance = 4 * (_width(z) + noise * scale)
+            scale = max(one, abs(mid))
+            tolerance = 4 * (_width(z) + ((noise * scale) >> bits))
             if move <= tolerance:
                 stabilized = True
                 break
@@ -574,7 +605,7 @@ def _cycle_search(c, n, precision, budget):
     best_recent = list(recent)
     best_move = abs(_midpoint(recent[-1]) - _midpoint(recent[0]))
     for _ in range(40 * n):
-        z = z * z + enclosure
+        z = _square_plus(z, enclosure, bits)
         recent.append(z)
         recent.pop(0)
         move = abs(_midpoint(recent[-1]) - _midpoint(recent[0]))
@@ -587,47 +618,47 @@ def _cycle_search(c, n, precision, budget):
     cycle = best_recent[1:]
     move = best_move
     spread = max(_width(box) for box in cycle)
-    scale = max([mpmath.mpf(1)] + [abs(_midpoint(box)) for box in cycle])
-    floor = noise * scale  # 10 * 10^(-precision) * scale
+    scale = max([one] + [abs(_midpoint(box)) for box in cycle])
+    floor = (noise * scale) >> bits  # 10 * 10^(-precision) * scale
     seed = _midpoint(cycle[0])
     # Ascending ladder: any containment success is a proof, so small boxes are
     # tried first and inflated candidates act as fallbacks.
     ladder = sorted(
-        {max(floor * 4**k, mpmath.mpf(0)) for k in range(5)}
+        {floor * 4**k for k in range(5)}
         | {mult * (move + spread) + floor for mult in _CONTAINMENT_MULTS}
     )
     best_failure = None
     for delta in ladder:
-        if delta > 1:
+        if delta > one:
             continue
-        first = mpmath.iv.mpf([seed - delta, seed + delta])
+        first = (seed - delta, seed + delta)
         boxes = [first]
         current = first
         for _ in range(n):
-            current = current * current + enclosure
+            current = _square_plus(current, enclosure, bits)
             boxes.append(current)
         last = boxes.pop()
-        if not (_lower(last) > _lower(first) and _upper(last) < _upper(first)):
+        if not (last[0] > first[0] and last[1] < first[1]):
             continue
-        lam = mpmath.iv.mpf(1)
+        lam = (one, one)
         for box in boxes:
-            lam = lam * (2 * box)
-        modulus_upper = max(abs(_lower(lam)), abs(_upper(lam)))
+            lam = _mul(lam, (2 * box[0], 2 * box[1]), bits)
+        modulus_upper = Fraction(max(abs(lam[0]), abs(lam[1])), one)
         if modulus_upper >= 1:
             if best_failure is None or modulus_upper < best_failure:
                 best_failure = modulus_upper
             continue
         return NumericCycleCertificate(
             period=n,
-            points=tuple(_midpoint(box) for box in boxes),
-            multiplier_estimate=_midpoint(lam),
+            points=tuple(Fraction(lo + hi, 2 * one) for lo, hi in boxes),
+            multiplier_estimate=Fraction(lam[0] + lam[1], 2 * one),
             modulus_upper=modulus_upper,
             exact_period=_pairwise_disjoint(boxes),
             precision=precision,
         )
     if best_failure is not None:
         raise PrecisionInsufficientError(
-            f"multiplier bound {mpmath.nstr(best_failure, 8)} does not separate "
+            f"multiplier bound {float(best_failure):.8g} does not separate "
             f"from 1 at precision {precision}",
             modulus_upper=best_failure,
         )
@@ -644,17 +675,23 @@ def find_attracting_cycle_numeric(
 ) -> NumericCycleCertificate:
     """Search numerically for an attracting cycle of period n and certify it.
 
-    The critical orbit is iterated in interval arithmetic at the requested
-    decimal precision until n consecutive points stabilize.  The candidate
-    cycle is then inflated into boxes B_0, ..., B_{n-1}; containment of the
-    n-step interval image strictly inside B_0 proves a cycle exists in the
-    boxes, and the interval product of 2 z over them bounds its multiplier.
-    Success requires the upper bound to be strictly below 1.
+    The critical orbit is iterated in interval arithmetic until n
+    consecutive points stabilize.  The candidate cycle is then inflated into
+    boxes B_0, ..., B_{n-1}; containment of the n-step interval image
+    strictly inside B_0 proves a cycle exists in the boxes, and the interval
+    product of 2 z over them bounds its multiplier.  Success requires the
+    upper bound to be strictly below 1.
 
-    This is the only non-exact operation in the module.  It temporarily
-    reconfigures the global mpmath interval context, so concurrent callers
-    in one process must serialize; results are deterministic for a fixed
-    precision and budget.
+    ``precision`` is in decimal digits.  The intervals have integer ends
+    scaled by 2^-bits with bits = round((precision + 1) log2 10) - 1, so
+    2^-bits is the ulp a binary float of that many digits has on [1, 2).
+    Certificate fields are exact dyadic fractions.  The parameter
+    box is the floor and ceiling, at that scale, of an isolating interval
+    of c narrowed below 10^-(precision + 5).  Squares take the sign of the
+    box into account, products take the extremes of the four corner
+    products, and every rounding is outward, so each box encloses the exact
+    image.  The result is deterministic for a fixed precision and budget and
+    touches no global state.
     """
     if n < 1:
         raise ValueError("period must be at least 1")
@@ -662,12 +699,4 @@ def find_attracting_cycle_numeric(
         raise CapExceededError(f"numeric period cap is {NUMERIC_PERIOD_CAP}, got {n}")
     if precision < 2:
         raise ValueError("precision must be at least 2 digits")
-    saved_iv = mpmath.iv.dps
-    saved_mp = mpmath.mp.dps
-    mpmath.iv.dps = precision
-    mpmath.mp.dps = precision + 15
-    try:
-        return _cycle_search(c, n, precision, budget)
-    finally:
-        mpmath.iv.dps = saved_iv
-        mpmath.mp.dps = saved_mp
+    return _cycle_search(c, n, precision, budget)

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -255,6 +258,43 @@ def test_cli_classify():
     assert code == 0 and "ParabolicLandmark" in out
     code, out = run_cli("classify", "--c", "16x^2+52x+41@[-3/2,-1]")
     assert code == 0 and "NotUpToBound(5)" in out
+
+
+def test_cli_classify_algebraic_outside_core_escapes():
+    # Same answer as for a rational c outside [-2, 1/4]; compare "--c 3".
+    _, rational = run_cli("classify", "--c", "3", "--json")
+    assert json.loads(rational)["tag"] == "EscapesToInfinity"
+    for text in ("x^2-5@[2,3]", "x^2-5@[-3,-2]"):  # sqrt 5 and -sqrt 5 < -2
+        code, out = run_cli("classify", "--c", text, "--json")
+        assert code == 0
+        assert json.loads(out) == {"c": text, "tag": "EscapesToInfinity", "detail": []}
+        code, out = run_cli("classify", "--c", text)
+        assert code == 0 and out.strip() == f"{text}: EscapesToInfinity"
+
+
+def test_cli_calls_share_no_state():
+    # One parser serves every call in the process; each call still gets its
+    # own output format and exit code.
+    for _ in range(2):
+        code, out = run_cli("classify", "--c", "1/4", "--json")
+        assert code == 0 and json.loads(out)["tag"] == "ParabolicLandmark"
+        code, out = run_cli("classify", "--c", "1/4")
+        assert code == 0 and out.strip() == "1/4: ParabolicLandmark (1, 1)"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert run_cli("classify", "--c", "1/4", "--bogus") == (2, "")
+        assert run_cli("verify", "prop1", "--quiet") == (0, "")
+
+
+def test_import_does_not_load_mpmath():
+    import parabkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
+    probe = "import sys, parabkit; print('mpmath' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_multiplier():

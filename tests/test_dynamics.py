@@ -5,9 +5,15 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from parabkit.dynamics import (
+    _enclose_parameter,
+    _mul,
+    _precision_bits,
+    _square_plus,
     CapExceededError,
     DegreeMismatchError,
     MultiplierMismatchError,
@@ -299,6 +305,12 @@ def test_is_parabolic_up_to_algebraic_and_cap():
         is_parabolic_up_to(F(1, 4), 6)
 
 
+def _mpf(q):
+    # Certificate fields are exact dyadic fractions; the division rounds at
+    # the working precision of the surrounding mpmath context.
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
 def test_numeric_certificate_period_four():
     cert = find_attracting_cycle_numeric(_candidate_high(), 4, precision=64)
     assert cert.period == 4
@@ -316,8 +328,8 @@ def test_numeric_certificate_period_four():
         for _ in range(4):
             lam *= 2 * z
             z = z * z + c
-        assert abs(lam - mpmath.mpf(cert.multiplier_estimate)) < mpmath.mpf("1e-9")
-        assert abs(lam) <= cert.modulus_upper
+        assert abs(lam - _mpf(cert.multiplier_estimate)) < mpmath.mpf("1e-9")
+        assert abs(lam) <= _mpf(cert.modulus_upper)
 
 
 def test_numeric_certificate_low_precision_threshold():
@@ -330,8 +342,8 @@ def test_numeric_certificate_low_precision_threshold():
 def test_numeric_certificate_superattracting():
     cert = find_attracting_cycle_numeric(F(-1), 2, precision=64)
     assert cert.exact_period
-    assert cert.modulus_upper < mpmath.mpf(10) ** -50
-    assert abs(cert.multiplier_estimate) < mpmath.mpf(10) ** -50
+    assert _mpf(cert.modulus_upper) < mpmath.mpf(10) ** -50
+    assert abs(_mpf(cert.multiplier_estimate)) < mpmath.mpf(10) ** -50
 
 
 def test_numeric_certificate_rejects_parabolic_cycle():
@@ -348,7 +360,47 @@ def test_numeric_certificate_fixed_point():
     cert = find_attracting_cycle_numeric(F(1, 8), 1, precision=32)
     assert cert.exact_period and cert.modulus_upper < 1
     # fixed-point multiplier at c = 1/8 is 1 - sqrt(1/2)
-    assert abs(cert.multiplier_estimate - (1 - mpmath.sqrt(0.5))) < 1e-6
+    assert abs(_mpf(cert.multiplier_estimate) - (1 - mpmath.sqrt(0.5))) < 1e-6
+
+
+@st.composite
+def _box_and_point(draw, bits):
+    """An integer box at scale 2^-bits and an exact rational inside it."""
+    lo = draw(st.integers(-(4 << bits), 4 << bits))
+    hi = lo + draw(st.integers(0, 2 << bits))
+    den = draw(st.integers(1, 1000))
+    t = draw(st.integers(0, den))  # the point sits a fraction t/den along the box
+    return (lo, hi), F(lo * den + (hi - lo) * t, den << bits)
+
+
+def _inside(box, bits, value):
+    return F(box[0], 1 << bits) <= value <= F(box[1], 1 << bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 80))
+def test_interval_kernel_encloses_exact_values(data, bits):
+    (z, x), (c, y) = data.draw(_box_and_point(bits)), data.draw(_box_and_point(bits))
+    assert _inside(_square_plus(z, c, bits), bits, x * x + y)
+    assert _inside(_mul(z, c, bits), bits, x * y)
+
+
+def test_parameter_enclosure_contains_parameter():
+    for c in (F(-7, 4), F(1, 3), F(-1, 3), -1, _candidate_high()):
+        for precision in (2, 20, 64):
+            bits = _precision_bits(precision)
+            assert bits == mpmath.libmp.dps_to_prec(precision) - 1
+            lo, hi = _enclose_parameter(c, precision, bits)
+            assert F(lo, 1 << bits) <= c <= F(hi, 1 << bits)
+            assert hi - lo <= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=F(-6, 5), max_value=F(-4, 5), max_denominator=10**6))
+def test_numeric_two_cycle_bound_covers_exact_multiplier(c):
+    # For -5/4 < c < -3/4 the 2-cycle has the exact multiplier 4(c + 1).
+    cert = find_attracting_cycle_numeric(c, 2, precision=20)
+    assert abs(4 * (c + 1)) <= cert.modulus_upper < 1
 
 
 def test_numeric_certificate_guards():
