@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import (
+    ConstantPolynomialError,
     IntegerPoly,
     ParabkitError,
     Rat,
     RationalInterval,
     RationalPoly,
+    _int_gcd,
     _squarefree_int_model,
     cauchy_bound,
     content_and_primitive,
@@ -253,7 +255,7 @@ def is_totally_real(p: IntegerPoly) -> bool:
     """
     _ensure_squarefree(p)
     if p.degree < 1:
-        raise ParabkitError("totally-real test needs degree >= 1")
+        raise ConstantPolynomialError("totally-real test needs degree >= 1")
     bound = cauchy_bound(p)
     return sturm_count(p, RationalInterval(-bound, bound)) == p.degree
 
@@ -262,7 +264,7 @@ def all_conjugates_in(p: IntegerPoly, interval: RationalInterval) -> bool:
     """True when p is totally real and every root lies in the interval."""
     _ensure_squarefree(p)
     if p.degree < 1:
-        raise ParabkitError("conjugate location needs degree >= 1")
+        raise ConstantPolynomialError("conjugate location needs degree >= 1")
     return is_totally_real(p) and sturm_count(p, interval) == p.degree
 
 
@@ -304,16 +306,20 @@ def _scaled_remainder(p: IntegerPoly, m: IntegerPoly) -> IntegerPoly:
 def sign_at(p: IntegerPoly, alpha: RealAlgebraic) -> int:
     """Exact sign of p(alpha): -1, 0, or +1.
 
-    Zero is decided by divisibility (minpoly | p, using irreducibility).
-    Otherwise p is reduced modulo the minimal polynomial, in integers, to a
+    A rational alpha is a single integer sign, IntegerPoly.sign_at.
+    Otherwise p is reduced modulo the minimal polynomial m, in integers, to a
     positive multiple q of the remainder, which has the sign of p at alpha.
-    The isolation of alpha is then narrowed by refined(), which bisects on
-    signs of the minimal polynomial, by 1, 2, 4, ... halvings per round until
-    sturm_count finds no root of q in it; doubling keeps the number of root
-    counts logarithmic in the halvings needed.  q has one sign on that whole
-    interval, so its sign at the midpoint, taken in integers by
-    IntegerPoly.sign_at, is the sign of p(alpha).  Every sturm_count call on
-    q after the first reuses its cached squarefree model and Sturm chain.
+    Zero is decided by one root count: p(alpha) = 0 exactly when alpha is a
+    root of g = gcd(m, q), and since every root of g is a root of m and the
+    isolation holds one root of m, that is when g has a root in the
+    isolation.  This needs m squarefree only, not irreducible.  Otherwise
+    the isolation is narrowed by refined(), which bisects on signs of m, by
+    1, 2, 4, ... halvings per round until sturm_count finds no root of q in
+    it; doubling keeps the number of root counts logarithmic in the halvings
+    needed.  q has one sign on that whole interval, so its sign at the
+    midpoint, taken in integers by IntegerPoly.sign_at, is the sign of
+    p(alpha).  Every sturm_count call on q after the first reuses its cached
+    squarefree model and Sturm chain.
     """
     if p.is_zero:
         return 0
@@ -321,9 +327,10 @@ def sign_at(p: IntegerPoly, alpha: RealAlgebraic) -> int:
         return p.sign_at(alpha.to_rational())
     m = alpha.minpoly
     q = _scaled_remainder(p, m)
-    if q.is_zero:
-        return 0
     iv = alpha.isolation
+    common = _int_gcd(m, q)
+    if common.degree > 0 and sturm_count(common, iv):
+        return 0
     halvings = 1
     while halvings <= _REFINE_CAP:
         if iv.is_point:

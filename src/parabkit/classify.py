@@ -30,7 +30,6 @@ from typing import Optional, Union
 
 from .algebraic import (
     NotIsolatingError,
-    NotSquarefreeError,
     RealAlgebraic,
     affine_transform,
     all_conjugates_in,
@@ -38,16 +37,10 @@ from .algebraic import (
     is_totally_real,
     make_real_algebraic,
 )
-from .cyclotomic import NotMonicError, admissible_orders, is_cyclotomic_product, trace_polynomial
+from .cyclotomic import admissible_orders, is_cyclotomic_product, trace_polynomial
 from .dynamics import (
     DISCRIMINANT_CAP,
     ESCAPES_TO_INFINITY,
-    CapExceededError,
-    DegreeMismatchError,
-    MultiplierMismatchError,
-    NoConvergenceError,
-    NotAFactorError,
-    PrecisionInsufficientError,
     RealBehavior,
     cycle_multiplier,
     discriminant_Pn,
@@ -59,6 +52,7 @@ from .dynamics import (
     verify_cycle,
 )
 from .polyring import (
+    ConstantPolynomialError,
     IntegerPoly,
     ParabkitError,
     ParseError,
@@ -275,13 +269,11 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
     must be exactly {1/4, -3/4, -5/4, -7/4}.
 
     Raises PipelineMismatchError when a recorded expectation fails and
-    propagates PrecisionInsufficientError from the numeric elimination.
+    propagates PrecisionInsufficientError from the numeric elimination.  An
+    nmax outside 1..DISCRIMINANT_CAP is refused by the first
+    is_parabolic_up_to call, before any P_n is built.
     """
     start = time.monotonic()
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
-    if nmax > DISCRIMINANT_CAP:
-        raise CapExceededError(f"discriminant cap is {DISCRIMINANT_CAP}, got nmax={nmax}")
     certificates = []
     confirmed = []
 
@@ -318,9 +310,9 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
             finite, preperiod, period = is_pcf_rational(Fraction(-2))
             if not (finite and preperiod >= 1):
                 raise PipelineMismatchError("-2 is no longer strictly preperiodic")
-            for n in range(1, nmax + 1):
-                if discriminant_Pn(n).sign_at(-8) == 0:
-                    raise PipelineMismatchError(f"P_{n}(-8) vanished")
+            verdict = is_parabolic_up_to(Fraction(-2), nmax)
+            if verdict.is_parabolic:
+                raise PipelineMismatchError(f"P_{verdict.n}(-8) vanished")
             certificates.append(
                 Certificate(
                     candidate,
@@ -475,18 +467,7 @@ def parse_parameter(text: str) -> RealAlgebraic:
     return make_real_algebraic(prim, RationalInterval(lo, hi))
 
 
-_USAGE_ERRORS = (ParseError, NotIsolatingError, ZeroPolynomialError)
-_VERIFICATION_ERRORS = (
-    PipelineMismatchError,
-    PrecisionInsufficientError,
-    NoConvergenceError,
-    NotAFactorError,
-    MultiplierMismatchError,
-    DegreeMismatchError,
-    NotMonicError,
-    NotSquarefreeError,
-    CapExceededError,
-)
+_USAGE_ERRORS = (ParseError, NotIsolatingError, ZeroPolynomialError, ConstantPolynomialError)
 
 
 def _emit(args, text: str) -> None:
@@ -724,7 +705,7 @@ def cli_main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _VERIFICATION_ERRORS as exc:
+    except ParabkitError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

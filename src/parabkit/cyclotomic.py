@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .polyring import (
+    ConstantPolynomialError,
     IntegerPoly,
     NotDivisibleError,
     ParabkitError,
@@ -191,7 +192,7 @@ def is_cyclotomic_product(p: IntegerPoly) -> CyclotomicWitness:
     CyclotomicWitness(is_product=True, orders=(3,))
     """
     if p.is_zero or p.degree < 1:
-        raise ParabkitError("decision needs a nonzero polynomial of degree >= 1")
+        raise ConstantPolynomialError("decision needs a nonzero polynomial of degree >= 1")
     if not p.is_monic:
         raise NotMonicError(f"{p} is not monic")
     orders = []

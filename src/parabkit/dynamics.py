@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
-from .algebraic import RealAlgebraic, affine_transform, sign_at
+from .algebraic import RealAlgebraic, affine_transform, from_rational, sign_at
 from .cyclotomic import divisors, moebius
 from .polyring import (
     IntegerPoly,
@@ -240,7 +240,7 @@ def _iterate(n: int) -> IteratedMapPoly:
     return prev * prev + IteratedMapPoly.c()
 
 
-def iterate_map(n: int, cap: int = ITERATE_CAP) -> IteratedMapPoly:
+def iterate_map(n: int) -> IteratedMapPoly:
     """Return the n-fold composition of f_c(z) = z^2 + c over Z[c].
 
     >>> iterate_map(3).degree_in_z
@@ -250,23 +250,19 @@ def iterate_map(n: int, cap: int = ITERATE_CAP) -> IteratedMapPoly:
     """
     if n < 1:
         raise ValueError("iteration count must be at least 1")
-    if n > cap:
-        raise CapExceededError(f"iterate cap is {cap}, got n={n}")
+    if n > ITERATE_CAP:
+        raise CapExceededError(f"iterate cap is {ITERATE_CAP}, got n={n}")
     return _iterate(n)
 
 
-def period_poly(n: int, cap: int = ITERATE_CAP) -> IteratedMapPoly:
+def period_poly(n: int) -> IteratedMapPoly:
     """Return f_c^n(z) - z, whose roots are the points of period dividing n."""
-    return iterate_map(n, cap=cap) - IteratedMapPoly.z()
+    return iterate_map(n) - IteratedMapPoly.z()
 
 
 @lru_cache(maxsize=None)
-def _pn(n: int, method: str) -> IntegerPoly:
-    bound = None
-    if method == "interpolate":
-        # Sylvester-matrix degree bound in c for res_z(f^n - z, d/dz).
-        bound = (2 ** (n + 1) - 2) * 2 ** (n - 1)
-    d = discriminant_in_z(period_poly(n), method=method, degree_bound=bound)
+def _pn(n: int) -> IntegerPoly:
+    d = discriminant_in_z(period_poly(n))
     coeffs = []
     for i in range(d.degree + 1):
         q, r = divmod(d.coeff(i), 4**i)
@@ -281,31 +277,27 @@ def _pn(n: int, method: str) -> IntegerPoly:
     return pn
 
 
-def discriminant_Pn(
-    n: int, method: str = "subresultant", cap: int = DISCRIMINANT_CAP
-) -> IntegerPoly:
+def discriminant_Pn(n: int) -> IntegerPoly:
     """Return P_n(b), the integer polynomial with disc_z(f_c^n(z) - z) = P_n(4c).
 
     The discriminant is taken in z over Z[c], then c = b/4 is substituted;
     integrality of every coefficient and a +-1 leading coefficient are
-    asserted rather than assumed.
+    asserted rather than assumed.  Computed once per n and cached.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise CapExceededError(f"discriminant cap is {cap}, got n={n}")
-    if method not in ("subresultant", "interpolate"):
-        raise ValueError(f"unknown method {method!r}")
-    return _pn(n, method)
+    if n > DISCRIMINANT_CAP:
+        raise CapExceededError(f"discriminant cap is {DISCRIMINANT_CAP}, got n={n}")
+    return _pn(n)
 
 
-def parity_certificate(n: int, cap: int = DISCRIMINANT_CAP) -> ParityCertificate:
+def parity_certificate(n: int) -> ParityCertificate:
     """Certify P_n(0) and P_n(-6) odd, with an independent check of P_n(0).
 
     P_n(0) must equal disc(z^(2^n) - z), computed here directly over the
     integers without going through the bivariate machinery.
     """
-    pn = discriminant_Pn(n, cap=cap)
+    pn = discriminant_Pn(n)
     at_zero = pn.coeff(0)
     at_minus_six = int(pn.evaluate(-6))
     m = 2**n
@@ -319,7 +311,7 @@ def parity_certificate(n: int, cap: int = DISCRIMINANT_CAP) -> ParityCertificate
     )
 
 
-def dynatomic_poly(n: int, c: Rat, cap: int = ITERATE_CAP) -> RationalPoly:
+def dynatomic_poly(n: int, c: Rat) -> RationalPoly:
     """Return the n-th dynatomic polynomial of f_c via the Moebius product.
 
     Computed as prod over d | n of (f_c^d(z) - z)^mu(n/d) with exact division;
@@ -328,8 +320,6 @@ def dynatomic_poly(n: int, c: Rat, cap: int = ITERATE_CAP) -> RationalPoly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise CapExceededError(f"iterate cap is {cap}, got n={n}")
     c = Fraction(c)
     numerator = RationalPoly.one()
     denominator = RationalPoly.one()
@@ -337,7 +327,7 @@ def dynatomic_poly(n: int, c: Rat, cap: int = ITERATE_CAP) -> RationalPoly:
         mu = moebius(n // d)
         if mu == 0:
             continue
-        factor = period_poly(d, cap=cap).evaluate_at_c(c)
+        factor = period_poly(d).evaluate_at_c(c)
         if mu == 1:
             numerator = numerator * factor
         else:
@@ -365,9 +355,7 @@ def cycle_multiplier(g: IntegerPoly, n: int) -> Fraction:
     return Fraction(2**n * sign * g.coeff(0), g.leading)
 
 
-def verify_cycle(
-    c: Rat, g: IntegerPoly, n: int, expected: Rat, cap: int = ITERATE_CAP
-) -> CycleCertificate:
+def verify_cycle(c: Rat, g: IntegerPoly, n: int, expected: Rat) -> CycleCertificate:
     """Check that g cuts out a period-n cycle of f_c with the expected multiplier.
 
     Divisibility g | f_c^n(z) - z is verified by exact division over Q.  The
@@ -379,7 +367,7 @@ def verify_cycle(
     if g.is_zero or g.degree != n:
         raise DegreeMismatchError(f"deg g = {g.degree} but period {n} was claimed")
     g = g.primitive()
-    target = period_poly(n, cap=cap).evaluate_at_c(c)
+    target = period_poly(n).evaluate_at_c(c)
     _, remainder = target.divmod_poly(g.to_rational())
     if not remainder.is_zero:
         raise NotAFactorError(f"{g} does not divide f^{n}(z) - z at c = {c}")
@@ -478,30 +466,22 @@ def real_behavior(c: Rat) -> RealBehavior:
     return RealBehavior(CORE_BOUNDED_UNRESOLVED)
 
 
-def is_parabolic_up_to(
-    c: Union[Rat, RealAlgebraic], nmax: int, cap: int = DISCRIMINANT_CAP
-) -> ParabolicVerdict:
+def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerdict:
     """Search for the least n <= nmax with P_n(4c) = 0.
 
-    Rational parameters are evaluated directly; algebraic ones go through
-    the exact sign oracle at b = 4c.
+    Each P_n is evaluated at b = 4c by the exact sign oracle
+    ``algebraic.sign_at``, which takes one integer sign when c is rational.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    if nmax > cap:
-        raise CapExceededError(f"discriminant cap is {cap}, got nmax={nmax}")
-    if isinstance(c, RealAlgebraic) and c.is_rational:
-        c = c.to_rational()
-    if isinstance(c, RealAlgebraic):
-        b_point = affine_transform(c, 4, 0)
-        for n in range(1, nmax + 1):
-            if sign_at(discriminant_Pn(n, cap=cap), b_point) == 0:
-                return ParabolicVerdict("parabolic", n)
-    else:
-        b_value = 4 * Fraction(c)
-        for n in range(1, nmax + 1):
-            if discriminant_Pn(n, cap=cap).sign_at(b_value) == 0:
-                return ParabolicVerdict("parabolic", n)
+    if nmax > DISCRIMINANT_CAP:
+        raise CapExceededError(f"discriminant cap is {DISCRIMINANT_CAP}, got nmax={nmax}")
+    if not isinstance(c, RealAlgebraic):
+        c = from_rational(c)
+    b_point = affine_transform(c, 4, 0)
+    for n in range(1, nmax + 1):
+        if sign_at(discriminant_Pn(n), b_point) == 0:
+            return ParabolicVerdict("parabolic", n)
     return ParabolicVerdict("not-up-to-bound", nmax)
 
 

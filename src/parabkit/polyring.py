@@ -721,9 +721,6 @@ class IteratedMapPoly:
         """Specialize the parameter c to an exact rational."""
         return RationalPoly(tuple(Fraction(p.evaluate(Fraction(value))) for p in self.coeffs_in_z))
 
-    def evaluate_at_c_int(self, value: int) -> IntegerPoly:
-        return IntegerPoly(tuple(p.evaluate(value) for p in self.coeffs_in_z))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -753,59 +750,14 @@ def _disc_sign(d: int) -> int:
     return -1 if (d * (d - 1) // 2) % 2 else 1
 
 
-def _resultant_in_z_interpolated(P: IteratedMapPoly, Q: IteratedMapPoly, bound: int) -> IntegerPoly:
-    # Evaluate c at integer nodes, take exact integer resultants, interpolate.
-    # Nodes where either leading z-coefficient vanishes are skipped: there the
-    # specialized resultant would no longer equal the specialization.
-    nodes = []
-    values = []
-    k = 0
-    lcP, lcQ = P.leading_in_z, Q.leading_in_z
-    while len(nodes) < bound + 1:
-        if lcP.sign_at(k) and lcQ.sign_at(k):
-            pk = P.evaluate_at_c_int(k)
-            qk = Q.evaluate_at_c_int(k)
-            nodes.append(k)
-            values.append(_resultant_lists(list(pk.coeffs), list(qk.coeffs), _INT_RING))
-        k += 1
-    # Newton divided differences over exact rationals.
-    dd = [Fraction(v) for v in values]
-    n = len(nodes)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - level])
-    poly = RationalPoly.zero()
-    for i in range(n - 1, -1, -1):
-        poly = poly * RationalPoly((Fraction(-nodes[i]), Fraction(1))) + RationalPoly.constant(dd[i])
-    for c in poly.coeffs:
-        if c.denominator != 1:
-            raise NotDivisibleError("interpolated resultant has a non-integer coefficient")
-    return IntegerPoly(tuple(int(c) for c in poly.coeffs))
-
-
-def discriminant_in_z(P: IteratedMapPoly, method: str = "subresultant", degree_bound=None) -> IntegerPoly:
-    """Discriminant with respect to z, exact in Z[c].
-
-    method "subresultant" runs the PRS over Z[c]; method "interpolate"
-    evaluates c at degree_bound + 1 integer nodes and interpolates. The two
-    are independent implementations and serve as mutual cross-checks.
-    """
+def discriminant_in_z(P: IteratedMapPoly) -> IntegerPoly:
+    """Discriminant with respect to z, exact in Z[c], by the subresultant PRS."""
     d = P.degree_in_z
     if P.is_zero:
         raise ZeroPolynomialError("discriminant of the zero polynomial")
     if d < 1:
         raise ConstantPolynomialError("discriminant needs degree >= 1 in z")
-    dP = P.derivative_z()
-    if method == "subresultant":
-        res = resultant_in_z(P, dP)
-    elif method == "interpolate":
-        if degree_bound is None:
-            cdeg = max((c.degree for c in P.coeffs_in_z), default=0)
-            cdeg_d = max((c.degree for c in dP.coeffs_in_z), default=0)
-            degree_bound = (d - 1) * max(cdeg, 0) + d * max(cdeg_d, 0)
-        res = _resultant_in_z_interpolated(P, dP, degree_bound)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    res = resultant_in_z(P, P.derivative_z())
     signed = res if _disc_sign(d) == 1 else -res
     return signed.divide_exact(P.leading_in_z)
 
@@ -876,34 +828,36 @@ def _sign_changes(chain: tuple, x: Fraction) -> int:
     return flips
 
 
+def _int_gcd(p: IntegerPoly, q: IntegerPoly) -> IntegerPoly:
+    # gcd in Z[x] by the primitive PRS: every remainder is reduced to its
+    # primitive part, so coefficients stay as small as the gcd allows.  The
+    # result is primitive with positive leading coefficient; p is nonzero.
+    a, b = list(p.coeffs), list(q.coeffs)
+    while b:
+        a, b = b, list(_int_primitive_keep_sign(_prem(a, b, _INT_RING)))
+    return IntegerPoly(a).primitive()
+
+
+@lru_cache(maxsize=512)
+def _squarefree_int_model(coeffs: tuple) -> IntegerPoly:
+    # Squarefree primitive integer model, positive leading coefficient, of the
+    # nonzero polynomial with these coefficients: primitive(p) / gcd(p, p'),
+    # an exact quotient in Z[x] by Gauss's lemma.  Equal int and Fraction
+    # tuples hash and compare equal, so an IntegerPoly and an equal
+    # RationalPoly share one cache entry.
+    _, prim = content_and_primitive(RationalPoly(coeffs))
+    return prim.divide_exact(_int_gcd(prim, prim.derivative()))
+
+
 def squarefree_part(p) -> RationalPoly:
     """p / gcd(p, p'), monic.
 
     >>> squarefree_part(RationalPoly((0, 0, 0, 1))).coeffs
     (Fraction(0, 1), Fraction(1, 1))
     """
-    if isinstance(p, IntegerPoly):
-        p = p.to_rational()
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    if p.degree == 0:
-        return RationalPoly.one()
-    a, b = p, p.derivative()
-    while not b.is_zero:
-        _, r = a.divmod_poly(b)
-        a, b = b, r
-    g = a.monic()
-    return p.divide_exact(g).monic()
-
-
-@lru_cache(maxsize=512)
-def _squarefree_int_model(coeffs: tuple) -> IntegerPoly:
-    # Squarefree primitive integer model, positive leading coefficient, of the
-    # nonzero polynomial with these coefficients.  Equal int and Fraction
-    # tuples hash and compare equal, so an IntegerPoly and an equal
-    # RationalPoly share one cache entry.
-    _, prim = content_and_primitive(squarefree_part(RationalPoly(coeffs)))
-    return prim
+    return _squarefree_int_model(p.coeffs).to_rational().monic()
 
 
 def cauchy_bound(p) -> Fraction:

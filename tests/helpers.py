@@ -13,9 +13,10 @@ from fractions import Fraction
 import mpmath
 
 from parabkit.cyclotomic import cyclotomic_poly, euler_phi, trace_polynomial
-from parabkit.dynamics import cycle_multiplier, discriminant_Pn, dynatomic_poly, period_poly
+from parabkit.dynamics import cycle_multiplier, dynatomic_poly, period_poly
 from parabkit.polyring import (
     IntegerPoly,
+    IteratedMapPoly,
     RationalInterval,
     RationalPoly,
     ZeroPolynomialError,
@@ -24,6 +25,7 @@ from parabkit.polyring import (
     format_poly,
     parse_poly,
     resultant,
+    resultant_in_z,
     squarefree_part,
     sturm_count,
 )
@@ -175,9 +177,45 @@ def check_parser_roundtrip(seed: int = 5, cases: int = 60) -> None:
         assert parse_poly(format_poly(p, var), var=var) == p, p.coeffs
 
 
+def resultant_in_z_interpolated(P: IteratedMapPoly, Q: IteratedMapPoly, bound: int) -> IntegerPoly:
+    """Independent resultant in z over Z[c], for a c-degree of at most bound.
+
+    Evaluates c at bound + 1 integer nodes, takes exact integer resultants and
+    interpolates by Newton divided differences.  Nodes where either leading
+    z-coefficient vanishes are skipped: there the specialized resultant would
+    no longer equal the specialization.
+    """
+    nodes = []
+    values = []
+    k = 0
+    while len(nodes) < bound + 1:
+        if P.leading_in_z.evaluate(k) and Q.leading_in_z.evaluate(k):
+            pk = IntegerPoly(tuple(p.evaluate(k) for p in P.coeffs_in_z))
+            qk = IntegerPoly(tuple(q.evaluate(k) for q in Q.coeffs_in_z))
+            nodes.append(k)
+            values.append(resultant(pk, qk))
+        k += 1
+    dd = [Fraction(v) for v in values]
+    n = len(nodes)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - level])
+    poly = RationalPoly.zero()
+    for i in range(n - 1, -1, -1):
+        poly = poly * RationalPoly((-nodes[i], 1)) + RationalPoly.constant(dd[i])
+    assert all(c.denominator == 1 for c in poly.coeffs), "non-integer interpolant"
+    return IntegerPoly(tuple(int(c) for c in poly.coeffs))
+
+
 def check_subres_vs_interp(upto: int = 4) -> None:
+    # res_z(f^n - z, d/dz) has c-degree at most the Sylvester-matrix bound
+    # (2^(n+1) - 2) * 2^(n-1); the subresultant PRS must match the
+    # interpolated resultant exactly.
     for n in range(1, upto + 1):
-        assert discriminant_Pn(n, method="interpolate") == discriminant_Pn(n), n
+        P = period_poly(n)
+        Q = P.derivative_z()
+        bound = (2 ** (n + 1) - 2) * 2 ** (n - 1)
+        assert resultant_in_z_interpolated(P, Q, bound) == resultant_in_z(P, Q), n
 
 
 def check_dynatomic_product(nmax: int = 6, seed: int = 7, trials: int = 3) -> None:

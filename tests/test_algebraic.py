@@ -19,7 +19,9 @@ from parabkit.algebraic import (
     make_real_algebraic,
     sign_at,
 )
+from parabkit.cyclotomic import is_cyclotomic_product
 from parabkit.polyring import (
+    ConstantPolynomialError,
     IntegerPoly,
     RationalInterval,
     RationalPoly,
@@ -207,6 +209,27 @@ def test_sign_at_rational_point():
     half = from_rational(F(1, 2))
     assert sign_at(IntegerPoly((-1, 2)), half) == 0
     assert sign_at(IntegerPoly((-1, 4)), half) == 1
+
+
+def test_sign_at_reducible_minpoly():
+    # -3/4 as the root of the squarefree but reducible (4x+3)(x^2-2) in
+    # (-1, -1/4); no bisection midpoint of that interval is -3/4.
+    alpha = make_real_algebraic(IntegerPoly((-6, -8, 3, 4)), RationalInterval(F(-1), F(-1, 4)))
+    assert not alpha.is_rational
+    assert sign_at(IntegerPoly((3, 4)), alpha) == 0
+    assert sign_at(IntegerPoly((-6, -8, 3, 4)), alpha) == 0
+    assert sign_at(IntegerPoly((-2, 0, 1)), alpha) == -1  # x^2 - 2 at -3/4
+    assert sign_at(IntegerPoly((4, 4)), alpha) == 1  # 4x + 4 at -3/4
+
+
+def test_constant_polynomials_are_refused():
+    for p in (IntegerPoly((5,)), IntegerPoly((1,))):
+        with pytest.raises(ConstantPolynomialError):
+            is_totally_real(p)
+        with pytest.raises(ConstantPolynomialError):
+            all_conjugates_in(p, RationalInterval(F(-1), F(1)))
+        with pytest.raises(ConstantPolynomialError):
+            is_cyclotomic_product(p)
 
 
 def test_doctests():

@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parabkit.classify import (
     Certificate,
@@ -24,7 +26,13 @@ from parabkit.classify import (
 )
 from parabkit.algebraic import NotIsolatingError, from_rational, make_real_algebraic
 from parabkit.dynamics import PrecisionInsufficientError
-from parabkit.polyring import IntegerPoly, ParseError, RationalInterval
+from parabkit.polyring import (
+    IntegerPoly,
+    ParseError,
+    RationalInterval,
+    format_poly,
+    isolate_real_roots,
+)
 
 
 def run_cli(*argv):
@@ -347,6 +355,8 @@ def test_cli_usage_errors():
     assert run_cli()[0] == 2
     assert run_cli("classify", "--c", "x^2-5@[0,1]")[0] == 2  # no root in the interval
     assert run_cli("isolate", "--poly", "0")[0] == 2
+    assert run_cli("kronecker", "--poly", "5")[0] == 2  # constant polynomial
+    assert run_cli("totally-real", "--poly", "5")[0] == 2
 
 
 def test_cli_negative_values_after_space():
@@ -355,3 +365,59 @@ def test_cli_negative_values_after_space():
     assert code == 0 and "AttractingTwoCycle" in out
     code, out = run_cli("classify", "--c", "-2")
     assert code == 0 and "PostcriticallyFinite" in out
+
+
+def test_cli_classify_reducible_minpoly():
+    # (4x+3)(x^2-2) is squarefree but reducible; both intervals isolate its
+    # root -3/4, and no bisection midpoint of [-1, -1/4] is -3/4.
+    for interval in ("[-1,-1/4]", "[-1,-1/2]"):
+        code, out = run_cli("classify", "--c", f"(4x+3)(x^2-2)@{interval}", "--json")
+        assert code == 0, interval
+        assert json.loads(out)["parabolic"] == "Parabolic(2)", interval
+
+
+_coeff_lists = st.lists(st.integers(min_value=-20, max_value=20), max_size=5)
+_polys = st.one_of(
+    _coeff_lists.map(lambda cs: IntegerPoly(tuple(cs))),
+    st.tuples(_coeff_lists, _coeff_lists).map(
+        lambda pair: IntegerPoly(tuple(pair[0])) * IntegerPoly(tuple(pair[1]))
+    ),
+)
+_poly_texts = _polys.map(lambda p: format_poly(p, "x"))
+_rational_texts = st.fractions(min_value=-3, max_value=3, max_denominator=8).map(str)
+_junk_texts = st.text(alphabet="x0123456789+-*/()@[],. ", max_size=10)
+
+
+def _isolated_root_text(p, index):
+    # a well-formed minpoly@[lo,hi] whenever p has a real root
+    roots = () if p.is_zero else isolate_real_roots(p)
+    if not roots:
+        return format_poly(p, "x")
+    iv = roots[index % len(roots)]
+    return f"{format_poly(p, 'x')}@[{iv.lo},{iv.hi}]"
+
+
+_parameter_texts = st.one_of(
+    _rational_texts,
+    st.builds(lambda p, lo, hi: f"{p}@[{lo},{hi}]", _poly_texts, _rational_texts, _rational_texts),
+    st.builds(_isolated_root_text, _polys, st.integers(min_value=0, max_value=3)),
+    _junk_texts,
+)
+_cli_argvs = st.one_of(
+    st.tuples(st.just("classify"), st.just("--c"), _parameter_texts),
+    st.tuples(
+        st.sampled_from(("kronecker", "totally-real", "isolate")),
+        st.just("--poly"),
+        st.one_of(_poly_texts, _junk_texts),
+    ),
+)
+
+
+@given(argv=_cli_argvs, as_json=st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_exit_codes_on_fuzzed_input(argv, as_json):
+    # zero, constant, non-monic and reducible polynomials, malformed
+    # minpoly@[lo,hi] and small rationals: an exit code, never an exception
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, _ = run_cli(*argv, *(("--json",) if as_json else ()))
+    assert code in (0, 1, 2)

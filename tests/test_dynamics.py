@@ -128,8 +128,6 @@ def test_discriminant_methods_agree():
 def test_discriminant_cap_and_bad_method():
     with pytest.raises(CapExceededError):
         discriminant_Pn(6)
-    with pytest.raises(ValueError):
-        discriminant_Pn(2, method="florentine")
 
 
 def test_parity_certificates_against_frozen_oracles():

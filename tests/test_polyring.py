@@ -27,7 +27,7 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _sign_changes
+from parabkit.polyring import _int_gcd, _sign_changes, _squarefree_int_model
 
 rational = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 rational_polys = st.lists(rational, min_size=1, max_size=7).map(lambda cs: RationalPoly(tuple(cs)))
@@ -159,6 +159,36 @@ def test_squarefree_part():
     assert sf.monic() == parse_poly("(x-1)(x+2)").monic()
     q = parse_poly("x^2-2")
     assert squarefree_part(q).monic() == q.monic()
+
+
+@given(p=small_int_polys, q=small_int_polys, r=small_int_polys)
+@settings(max_examples=60, deadline=None)
+def test_int_gcd_divides_and_leaves_coprime_cofactors(p, q, r):
+    a, b = p * r, q * r
+    if a.is_zero or b.is_zero:
+        return
+    g = _int_gcd(a, b)
+    assert g.leading > 0 and g.is_primitive
+    g.divide_exact(r.primitive())  # the common factor r divides the gcd
+    ca, cb = a.divide_exact(g), b.divide_exact(g)  # and the gcd divides both
+    if ca.degree >= 1 and cb.degree >= 1:
+        assert resultant(ca, cb) != 0
+
+
+@given(p=small_int_polys, q=small_int_polys, e=st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_squarefree_model_has_the_same_roots_once(p, q, e):
+    f = p**e * q
+    if f.is_zero:
+        return
+    model = _squarefree_int_model(f.coeffs)
+    assert model.leading > 0 and model.is_primitive
+    f.divide_exact(model)  # every root of the model is a root of f
+    if f.degree >= 1:
+        (model ** f.degree).divide_exact(f.primitive())  # and conversely
+        assert discriminant(model) != 0  # each root once
+    assert squarefree_part(f) == model.to_rational().monic()
+    assert _squarefree_int_model(f.to_rational().coeffs) == model
 
 
 def test_cauchy_bound_contains_roots():
