@@ -22,6 +22,7 @@ from .polyring import (
     Rat,
     RationalInterval,
     RationalPoly,
+    _Bisection,
     _int_gcd,
     _squarefree_int_model,
     cauchy_bound,
@@ -72,9 +73,10 @@ class RealAlgebraic:
 
     Build through make_real_algebraic or from_rational; the constructor does
     not validate. The isolation interval is kept either degenerate (a known
-    rational value) or open and holding exactly one root of minpoly. An
-    endpoint of an open isolation may itself be another root of minpoly:
-    make_real_algebraic(x^2-1, (-1, 2]) keeps -1 as its lower end.
+    rational value) or open and holding exactly one root of minpoly. Both
+    builders give a rational number a linear minpoly and a point isolation.
+    An endpoint of an open isolation may itself be another root of minpoly,
+    such as -1 for (x+1)(x^2-2) on (-1, 2].
     """
 
     minpoly: IntegerPoly
@@ -96,38 +98,28 @@ class RealAlgebraic:
         raise ParabkitError(f"{self} is not rational")
 
     def refined(self, max_width: Fraction) -> "RealAlgebraic":
-        """Same number with isolation width at most max_width.
+        """Same number with isolation width at most max_width > 0.
 
-        Bisection on signs, with no root counting.  The minimal polynomial m
-        is squarefree and the open isolation (lo, hi) holds exactly one of its
-        roots, alpha, so alpha is simple and m has one sign s on (lo, alpha)
-        and the opposite sign on (alpha, hi).  A midpoint where m has sign s
-        lies left of alpha, one with sign -s right of it, and sign 0 is alpha.
-        When lo is not a root, s = sign m(lo).  When lo is a root (an excluded
-        endpoint, see the class docstring) it is simple and (lo, alpha) holds
-        no root, so s = sign m'(lo).  Every sign is exact, in integers.
+        Sign bisection on the minimal polynomial, with no root counting, by
+        the integer kernel polyring._Bisection, which also covers an excluded
+        endpoint root; the number of halvings is worked out from the width
+        before the first one.  The endpoints are the midpoints that halving
+        in Fractions would reach, and a midpoint that is the root gives a
+        point isolation.  More than _REFINE_CAP halvings raise ParabkitError.
         """
         max_width = Fraction(max_width)
+        if max_width <= 0:
+            raise ValueError(f"refinement width must be positive, got {max_width}")
         iv = self.isolation
         if iv.is_point or iv.width <= max_width:
             return self
-        m = self.minpoly
-        lo, hi = iv.lo, iv.hi
-        left = m.sign_at(lo) or m.derivative().sign_at(lo)
-        steps = 0
-        while hi - lo > max_width:
-            steps += 1
-            if steps > _REFINE_CAP:
-                raise ParabkitError("isolation refinement did not converge")
-            mid = (lo + hi) / 2
-            s = m.sign_at(mid)
-            if s == 0:
-                return RealAlgebraic(m, RationalInterval(mid, mid))
-            if s == left:
-                lo = mid
-            else:
-                hi = mid
-        return RealAlgebraic(m, RationalInterval(lo, hi, True, True))
+        narrowing = _Bisection(self.minpoly, iv.lo, iv.hi)
+        halvings = narrowing.halvings_to(max_width)
+        narrowing.halve(min(halvings, _REFINE_CAP))
+        iv = narrowing.interval()
+        if halvings > _REFINE_CAP and not iv.is_point:
+            raise ParabkitError("isolation refinement did not converge")
+        return RealAlgebraic(self.minpoly, iv)
 
     def approx(self, digits: int = 12) -> Fraction:
         """Rational approximation within 10**-digits of the true value."""
@@ -138,19 +130,15 @@ class RealAlgebraic:
         if self.is_rational:
             v = self.to_rational()
             return (v > q) - (v < q)
-        if self.isolation.contains(q) and self.minpoly.sign_at(q) == 0:
-            return 0
         iv = self.isolation
-        steps = 0
-        while iv.contains(q):
-            steps += 1
-            if steps > _REFINE_CAP:
-                raise ParabkitError("comparison did not converge")
-            iv = RealAlgebraic(self.minpoly, iv).refined(iv.width / 2).isolation
-            if iv.is_point:
-                v = iv.lo
-                return (v > q) - (v < q)
-        return 1 if iv.lo >= q else -1
+        if not iv.contains(q):
+            return 1 if iv.lo >= q else -1
+        # q is inside the isolation: the side sign of the bisection kernel
+        # places it left or right of the root, as it would a midpoint.
+        s = self.minpoly.sign_at(q)
+        if s == 0:
+            return 0
+        return 1 if s == _Bisection(self.minpoly, iv.lo, iv.hi).left else -1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -174,17 +162,17 @@ class RealAlgebraic:
             return NotImplemented
         if self == other:
             return False
-        a, b = self, other
+        ia, ib = self.isolation, other.isolation
+        a, b = _Bisection(self.minpoly, ia.lo, ia.hi), _Bisection(other.minpoly, ib.lo, ib.hi)
         steps = 0
-        while a.isolation.intersect(b.isolation) is not None:
+        while ia.intersect(ib) is not None and not (ia.is_point and ib.is_point):
             steps += 1
             if steps > _REFINE_CAP:
                 raise ParabkitError("ordering did not converge")
-            a = a.refined(a.isolation.width / 2) if not a.isolation.is_point else a
-            b = b.refined(b.isolation.width / 2) if not b.isolation.is_point else b
-            if a.isolation.is_point and b.isolation.is_point:
-                break
-        return (a.isolation.lo, a.isolation.hi) < (b.isolation.lo, b.isolation.hi)
+            a.halve()
+            b.halve()
+            ia, ib = a.interval(), b.interval()
+        return (ia.lo, ia.hi) < (ib.lo, ib.hi)
 
     def __le__(self, other) -> bool:
         return self == other or self < other
@@ -208,11 +196,22 @@ class RealAlgebraic:
 def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgebraic:
     """Validated constructor: p squarefree, interval isolating exactly one root.
 
-    The stored polynomial is the primitive part with positive leading
-    coefficient; the interval is refined to width at most 1. Irreducibility
-    of p is a caller-supplied precondition (there is no factorization engine
-    here); every polynomial the pipelines construct has degree at most 2,
-    where squarefree plus no rational root settles it.
+    A rational root comes back as from_rational(r), with a linear minimal
+    polynomial and a point isolation, so it equals the same number written
+    as a rational, even when p is reducible.  By the rational root theorem a
+    rational root of the primitive p has a denominator that divides L =
+    lc(p), so it is k/L for an integer k, and two such numbers are at least
+    1/L apart.  Once the open isolation (lo, hi) is narrowed to width at
+    most 1/L it holds at most one of them, k/L with k = ceil(lo*L), the
+    least one not below lo; the root is rational exactly when k/L lies in
+    the isolation (or the narrowing hit the root) and p(k/L) = 0, both
+    decided exactly, in integers.
+
+    Otherwise the stored polynomial is the primitive part with positive
+    leading coefficient and the interval is refined to width at most 1.
+    Irreducibility of p is a caller-supplied precondition (there is no
+    factorization engine here); every polynomial the pipelines construct
+    has degree at most 2, where squarefree plus no rational root settles it.
     """
     if isinstance(p, RationalPoly):
         _, p = content_and_primitive(p)
@@ -223,15 +222,20 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
     hits = sturm_count(p, interval)
     if hits != 1:
         raise NotIsolatingError(f"{interval} contains {hits} roots of {p}, expected 1")
-    # pin rational endpoint roots to a degenerate interval
     for endpoint in (interval.lo, interval.hi):
         if interval.contains(endpoint) and p.sign_at(endpoint) == 0:
-            return RealAlgebraic(p, RationalInterval(endpoint, endpoint))
+            return from_rational(endpoint)
     if p.degree == 1:
-        root = Fraction(-p.coeff(0), p.coeff(1))
-        return RealAlgebraic(p, RationalInterval(root, root))
-    value = RealAlgebraic(p, RationalInterval(interval.lo, interval.hi, True, True))
-    return value.refined(Fraction(1))
+        return from_rational(Fraction(-p.coeff(0), p.coeff(1)))
+    value = RealAlgebraic(p, RationalInterval(interval.lo, interval.hi, True, True)).refined(1)
+    lead = p.leading
+    fine = _Bisection(p, value.isolation.lo, value.isolation.hi)
+    fine.halve(fine.halvings_to(Fraction(1, lead)))
+    lo, hi, d = fine.a * lead, fine.b * lead, fine.d  # lead * (lo, hi), over d
+    k = -(-lo // d)
+    if (lo == hi or lo < k * d < hi) and p.sign_at(Fraction(k, lead)) == 0:
+        return from_rational(Fraction(k, lead))
+    return value
 
 
 def from_rational(q: Rat) -> RealAlgebraic:
@@ -313,13 +317,14 @@ def sign_at(p: IntegerPoly, alpha: RealAlgebraic) -> int:
     root of g = gcd(m, q), and since every root of g is a root of m and the
     isolation holds one root of m, that is when g has a root in the
     isolation.  This needs m squarefree only, not irreducible.  Otherwise
-    the isolation is narrowed by refined(), which bisects on signs of m, by
-    1, 2, 4, ... halvings per round until sturm_count finds no root of q in
-    it; doubling keeps the number of root counts logarithmic in the halvings
-    needed.  q has one sign on that whole interval, so its sign at the
-    midpoint, taken in integers by IntegerPoly.sign_at, is the sign of
-    p(alpha).  Every sturm_count call on q after the first reuses its cached
-    squarefree model and Sturm chain.
+    one integer bisection state (polyring._Bisection, the kernel refined()
+    uses) narrows the isolation on signs of m by 1, 2, 4, ... halvings per
+    round until sturm_count finds no root of q in it; the state carries over
+    from round to round, and doubling keeps the number of root counts
+    logarithmic in the halvings needed.  q has one sign on that whole
+    interval, so its sign at the midpoint, taken in integers by
+    IntegerPoly.sign_at, is the sign of p(alpha).  Every sturm_count call on
+    q after the first reuses its cached squarefree model and Sturm chain.
     """
     if p.is_zero:
         return 0
@@ -331,12 +336,14 @@ def sign_at(p: IntegerPoly, alpha: RealAlgebraic) -> int:
     common = _int_gcd(m, q)
     if common.degree > 0 and sturm_count(common, iv):
         return 0
+    narrowing = _Bisection(m, iv.lo, iv.hi)
     halvings = 1
     while halvings <= _REFINE_CAP:
         if iv.is_point:
             return q.sign_at(iv.lo)
         if sturm_count(q, iv) == 0:
             return q.sign_at(iv.midpoint)
-        iv = RealAlgebraic(m, iv).refined(iv.width / 2**halvings).isolation
+        narrowing.halve(halvings)
+        iv = narrowing.interval()
         halvings *= 2
     raise ParabkitError("sign refinement did not converge")

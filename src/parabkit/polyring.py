@@ -13,7 +13,11 @@ Coefficients are stored low-to-high (``coeffs[i]`` multiplies ``x**i``) and
 rendered high-to-low. Resultants use the subresultant polynomial remainder
 sequence, which stays in the coefficient ring with exact divisions only.
 Real-root counting uses Sturm chains built from sign-corrected primitive
-pseudo-remainders; root isolation is Sturm-guided bisection. The sign of an
+pseudo-remainders. Root isolation splits by Sturm counts until each piece
+holds one root, then narrows it by one integer bisection kernel
+(``_Bisection``): the interval is kept as integer numerators over one
+denominator and each halving takes one sign, with no root count; the
+real-algebraic layer refines through the same kernel. The sign of an
 integer polynomial at a rational a/b is always taken as the sign of
 b^deg * q(a/b), in integers (``IntegerPoly.sign_at``).
 """
@@ -918,8 +922,62 @@ def sturm_count(p, interval: RationalInterval) -> int:
     return _sturm_count_int(_squarefree_int_model(p.coeffs), interval)
 
 
-def _count_open(q: IntegerPoly, lo: Fraction, hi: Fraction) -> int:
-    return _sturm_count_int(q, RationalInterval(lo, hi, True, True))
+class _Bisection:
+    """Sign bisection of an isolating interval, in integers.
+
+    The interval is kept as (a/d, b/d) over one denominator.  q is squarefree
+    and the open interval holds exactly one of its roots, alpha, so alpha is
+    simple and q has one sign, left, on (a/d, alpha) and the opposite sign on
+    (alpha, b/d): a midpoint where q has sign left lies left of alpha, one
+    with sign -left right of it, and sign 0 is alpha, after which a == b and
+    the interval stays that point.
+    When a/d is not a root, left = sign q(a/d).  When it is one (an excluded
+    endpoint, such as -1 for x^2-1 on (-1, 2]) it is simple and (a/d, alpha)
+    holds no root, so left = sign q'(a/d).  No root is ever counted.
+
+    A halving doubles a, b and d and splits at the old a + b over the new d,
+    so b - a never changes and each endpoint equals the Fraction midpoint
+    (lo + hi)/2 that bisection in Fractions would reach.  Every sign is
+    _sign_at in integers; Fractions are built only by interval().
+    """
+
+    __slots__ = ("cs", "left", "a", "b", "d")
+
+    def __init__(self, q: IntegerPoly, lo: Fraction, hi: Fraction):
+        d = math.lcm(lo.denominator, hi.denominator)
+        self.cs = q.coeffs
+        self.left = q.sign_at(lo) or q.derivative().sign_at(lo)
+        self.a = lo.numerator * (d // lo.denominator)
+        self.b = hi.numerator * (d // hi.denominator)
+        self.d = d
+
+    def halvings_to(self, width: Fraction) -> int:
+        """Number of halvings that bring the width to at most width > 0."""
+        excess = (self.b - self.a) * width.denominator
+        allowed = width.numerator * self.d
+        return ((excess - 1) // allowed).bit_length() if excess > allowed else 0
+
+    def halve(self, times: int = 1) -> None:
+        cs, left, a, b, d = self.cs, self.left, self.a, self.b, self.d
+        for _ in range(times):
+            mid = a + b
+            a, b, d = a + a, b + b, d + d
+            s = _sign_at(cs, mid, d)
+            if s == left:
+                a = mid
+            elif s:
+                b = mid
+            else:
+                a = b = mid
+                break
+        self.a, self.b, self.d = a, b, d
+
+    def interval(self) -> RationalInterval:
+        """The current interval: open, or a point once a midpoint was the root."""
+        lo = Fraction(self.a, self.d)
+        if self.a == self.b:
+            return RationalInterval(lo, lo)
+        return RationalInterval(lo, Fraction(self.b, self.d), True, True)
 
 
 _ISOLATION_WIDTH = Fraction(1, 4)
@@ -928,9 +986,10 @@ _ISOLATION_WIDTH = Fraction(1, 4)
 def isolate_real_roots(p):
     """Disjoint rational intervals, each isolating one real root of p.
 
-    Rational roots found during bisection come back as degenerate point
-    intervals; every open interval is refined to width <= 1/4. Intervals are
-    returned in ascending root order.
+    Sturm counts split the Cauchy-bound interval until each piece holds one
+    root; sign bisection (_Bisection) then narrows each piece to width <= 1/4.
+    Rational roots found on the way come back as degenerate point intervals.
+    Intervals are returned in ascending root order.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -942,7 +1001,7 @@ def isolate_real_roots(p):
     stack = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
-        k = _count_open(q, lo, hi)
+        k = _sturm_count_int(q, RationalInterval(lo, hi, True, True))
         if k == 0:
             continue
         if k == 1:
@@ -955,22 +1014,9 @@ def isolate_real_roots(p):
         stack.append((mid, hi))
     intervals = []
     for lo, hi in found:
-        if lo == hi:
-            intervals.append(RationalInterval(lo, hi))
-            continue
-        while hi - lo > _ISOLATION_WIDTH:
-            mid = (lo + hi) / 2
-            if q.sign_at(mid) == 0:
-                lo = hi = mid
-                break
-            if _count_open(q, lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        if lo == hi:
-            intervals.append(RationalInterval(lo, hi))
-        else:
-            intervals.append(RationalInterval(lo, hi, True, True))
+        narrowing = _Bisection(q, lo, hi)
+        narrowing.halve(narrowing.halvings_to(_ISOLATION_WIDTH))
+        intervals.append(narrowing.interval())
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     return tuple(intervals)
 

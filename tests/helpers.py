@@ -29,6 +29,7 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
+from parabkit.polyring import _squarefree_int_model
 
 PAPER_CYCLES = (
     (Fraction(1, 4), IntegerPoly((-1, 2)), 1, Fraction(1)),
@@ -291,3 +292,74 @@ def fraction_sign_changes(chain: tuple, x: Fraction) -> int:
         if acc:
             signs.append(1 if acc > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def fraction_refined(m: IntegerPoly, iv: RationalInterval, max_width: Fraction) -> RationalInterval:
+    """Reference refinement: sign bisection with Fraction midpoints.
+
+    The loop RealAlgebraic.refined ran before the integer kernel replaced it,
+    kept as an oracle: the kernel must return the same interval, endpoint for
+    endpoint.  m is squarefree and the open iv holds exactly one of its roots.
+    """
+    if iv.is_point or iv.width <= max_width:
+        return iv
+    lo, hi = iv.lo, iv.hi
+    left = m.sign_at(lo) or m.derivative().sign_at(lo)
+    steps = 0
+    while hi - lo > max_width:
+        steps += 1
+        assert steps <= 4096, "isolation refinement did not converge"
+        mid = (lo + hi) / 2
+        s = m.sign_at(mid)
+        if s == 0:
+            return RationalInterval(mid, mid)
+        if s == left:
+            lo = mid
+        else:
+            hi = mid
+    return RationalInterval(lo, hi, True, True)
+
+
+def fraction_isolate_real_roots(p) -> tuple:
+    """Reference isolation: Sturm-count bisection in Fractions throughout.
+
+    The isolate_real_roots that narrowed each one-root interval by counting
+    roots of its left half, kept as an oracle for the sign-bisection kernel.
+    """
+    q = _squarefree_int_model(p.coeffs)
+    if q.degree <= 0:
+        return ()
+
+    def count_open(lo, hi):
+        return sturm_count(q, RationalInterval(lo, hi, True, True))
+
+    bound = cauchy_bound(q)
+    found = []
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        k = count_open(lo, hi)
+        if k == 0:
+            continue
+        if k == 1:
+            found.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if q.sign_at(mid) == 0:
+            found.append((mid, mid))
+        stack.append((lo, mid))
+        stack.append((mid, hi))
+    intervals = []
+    for lo, hi in found:
+        while lo != hi and hi - lo > Fraction(1, 4):
+            mid = (lo + hi) / 2
+            if q.sign_at(mid) == 0:
+                lo = hi = mid
+            elif count_open(lo, mid) == 1:
+                hi = mid
+            else:
+                lo = mid
+        intervals.append(RationalInterval(lo, hi) if lo == hi else RationalInterval(lo, hi, True, True))
+    intervals.sort(key=lambda iv: (iv.lo, iv.hi))
+    return tuple(intervals)
+

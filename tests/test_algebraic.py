@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from parabkit.algebraic import (
     NotIsolatingError,
     NotSquarefreeError,
@@ -29,6 +30,7 @@ from parabkit.polyring import (
     isolate_real_roots,
     sturm_count,
 )
+from parabkit.polyring import _squarefree_int_model
 
 SQRT2_POLY = IntegerPoly((-2, 0, 1))
 GOLDEN_POLY = IntegerPoly((-1, 1, 1))  # roots (-1 +- sqrt5)/2
@@ -213,13 +215,122 @@ def test_sign_at_rational_point():
 
 def test_sign_at_reducible_minpoly():
     # -3/4 as the root of the squarefree but reducible (4x+3)(x^2-2) in
-    # (-1, -1/4); no bisection midpoint of that interval is -3/4.
-    alpha = make_real_algebraic(IntegerPoly((-6, -8, 3, 4)), RationalInterval(F(-1), F(-1, 4)))
-    assert not alpha.is_rational
+    # (-1, -1/4); no bisection midpoint of that interval is -3/4, and the
+    # rational root collapses to the rational.  The root sqrt2 keeps the
+    # reducible minimal polynomial, so its zeros are decided through the gcd.
+    reducible = IntegerPoly((-6, -8, 3, 4))
+    alpha = make_real_algebraic(reducible, RationalInterval(F(-1), F(-1, 4)))
+    assert alpha.is_rational
     assert sign_at(IntegerPoly((3, 4)), alpha) == 0
     assert sign_at(IntegerPoly((-6, -8, 3, 4)), alpha) == 0
     assert sign_at(IntegerPoly((-2, 0, 1)), alpha) == -1  # x^2 - 2 at -3/4
     assert sign_at(IntegerPoly((4, 4)), alpha) == 1  # 4x + 4 at -3/4
+    root2 = make_real_algebraic(reducible, RationalInterval(F(1), F(2)))
+    assert not root2.is_rational and root2.minpoly == reducible
+    assert sign_at(SQRT2_POLY, root2) == 0
+    assert sign_at(reducible, root2) == 0
+    assert sign_at(IntegerPoly((3, 4)), root2) == 1
+    assert sign_at(IntegerPoly((-3, 0, 1)), root2) == -1
+
+
+def test_rational_roots_collapse_to_rationals():
+    # -3/4 is a root of (4x+3)(x^2-2) inside (-1, -1/4), where no bisection
+    # midpoint reaches it, at the closed end of [-3/4, 0], and a bisection
+    # midpoint of [-1, -1/2]; every form is the rational -3/4.
+    reducible = IntegerPoly((-6, -8, 3, 4))
+    for lo, hi in ((F(-1), F(-1, 4)), (F(-3, 4), F(0)), (F(-1), F(-1, 2))):
+        alpha = make_real_algebraic(reducible, RationalInterval(lo, hi))
+        assert alpha == from_rational(F(-3, 4))
+        assert alpha.minpoly == IntegerPoly((3, 4)) and alpha.isolation.is_point
+    # a large leading coefficient needs narrowing far below width 1
+    huge = IntegerPoly((3, 10**50)) * SQRT2_POLY
+    assert make_real_algebraic(huge, RationalInterval(F(-1), F(0))) == from_rational(F(-3, 10**50))
+    assert make_real_algebraic(IntegerPoly((-3, 10**50)), RationalInterval(F(0), F(1))).isolation.is_point
+    # an excluded end 0 is a rational root, but the root isolated in (0, 1]
+    # is -5 + sqrt26 and the one in [-1/2, 0) is 5 - sqrt26
+    above = make_real_algebraic(IntegerPoly((0, -1, 10, 1)), RationalInterval(F(0), F(1), lo_strict=True))
+    assert not above.is_rational and above > 0
+    below = make_real_algebraic(IntegerPoly((0, -1, -10, 1)), RationalInterval(F(-1, 2), F(0), hi_strict=True))
+    assert not below.is_rational and below < 0
+
+
+def test_refined_rejects_a_non_positive_width():
+    for value in (_root(SQRT2_POLY, 1), from_rational(F(1, 3))):
+        for width in (F(0), F(-1, 3)):
+            with pytest.raises(ValueError, match=str(width)):
+                value.refined(width)
+
+
+@st.composite
+def squarefree_polys(draw):
+    # squarefree integer polynomials of degree <= 5, some with rational roots
+    # so that isolations can end at another root
+    roots = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=3, unique=True))
+    rest = IntegerPoly(tuple(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=6 - len(roots)))))
+    p = rest
+    for r in roots:
+        p = p * IntegerPoly((-r.numerator, r.denominator))
+    assume(p.degree >= 1)
+    return _squarefree_int_model(p.coeffs)
+
+
+def _isolations(m):
+    # every open isolation of a root of m, and the wider ones that end at
+    # another (rational) root of m: the excluded endpoint case
+    points = [iv.lo for iv in isolate_real_roots(m) if iv.is_point]
+    for iv in isolate_real_roots(m):
+        if iv.is_point:
+            continue
+        yield iv
+        below = max((r for r in points if r < iv.lo), default=None)
+        above = min((r for r in points if r > iv.hi), default=None)
+        for lo, hi in ((below, iv.hi), (iv.lo, above), (below, above)):
+            if lo is not None and hi is not None:
+                wide = RationalInterval(lo, hi, True, True)
+                if sturm_count(m, wide) == 1:
+                    yield wide
+
+
+widths = st.one_of(
+    st.fractions(min_value=F(1, 10**30), max_value=4, max_denominator=10**30),
+    st.integers(min_value=0, max_value=100).map(lambda k: F(1, 2**k)),
+)
+
+
+@given(m=squarefree_polys(), width=widths)
+@settings(max_examples=100, deadline=None)
+def test_refined_matches_fraction_bisection(m, width):
+    for iv in _isolations(m):
+        assert RealAlgebraic(m, iv).refined(width).isolation == helpers.fraction_refined(m, iv, width)
+    minus_one_excluded = RationalInterval(F(-1), F(2), True, True)
+    expected = helpers.fraction_refined(IntegerPoly((-1, 0, 1)), minus_one_excluded, width)
+    assert RealAlgebraic(IntegerPoly((-1, 0, 1)), minus_one_excluded).refined(width).isolation == expected
+
+
+@given(
+    m=squarefree_polys(),
+    g=st.lists(st.integers(min_value=-(10**30), max_value=10**30), min_size=1, max_size=4),
+    c=st.sampled_from((-2, -1, 1, 2)),
+    j=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_sign_at_matches_fraction_evaluation_near_zero(m, g, c, j):
+    # p = g*m + c*x^j is a small perturbation of a multiple of m: it has a
+    # root very close to each root alpha of m, yet p(alpha) = c*alpha^j is
+    # not zero (0 is always isolated as a point).
+    multiple = m * IntegerPoly(tuple(g))
+    assume(not multiple.is_zero)
+    p = multiple + IntegerPoly((0,) * j + (c,))
+    for iv in isolate_real_roots(m):
+        if iv.is_point:
+            continue
+        alpha = RealAlgebraic(m, iv)
+        assert sign_at(multiple, alpha) == 0
+        narrow = iv
+        while sturm_count(p, narrow):
+            narrow = helpers.fraction_refined(m, narrow, narrow.width / 2)
+        value = p.to_rational().evaluate(narrow.midpoint)
+        assert sign_at(p, alpha) == (value > 0) - (value < 0)
 
 
 def test_constant_polynomials_are_refused():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from parabkit.classify import (
     Certificate,
     ClassificationReport,
@@ -24,7 +25,8 @@ from parabkit.classify import (
     report_from_json,
     report_to_json,
 )
-from parabkit.algebraic import NotIsolatingError, from_rational, make_real_algebraic
+from parabkit.classify import _prop2_candidates
+from parabkit.algebraic import NotIsolatingError, RealAlgebraic, from_rational, make_real_algebraic
 from parabkit.dynamics import PrecisionInsufficientError
 from parabkit.polyring import (
     IntegerPoly,
@@ -150,6 +152,27 @@ def test_prop2_modulus_bound_is_an_upper_bound(prop2_report):
     (bound,) = [c.modulus_bound for c in prop2_report.certificates if c.modulus_bound is not None]
     assert lam > -bound
     assert bound < 1
+
+
+def test_prop2_enclosure_matches_the_fraction_bisection(prop2_report, monkeypatch):
+    # The integer bisection kernel reproduces the Fraction-midpoint loop
+    # endpoint for endpoint: the width-10^-69 enclosure of (-13 + sqrt5)/8
+    # that the cycle search starts from, and so the exact modulus_bound.
+    golden_high = [c for c in _prop2_candidates() if not c.is_rational][1]
+    width = F(1, 10**69)
+    expected = helpers.fraction_refined(golden_high.minpoly, golden_high.isolation, width)
+    assert golden_high.refined(width).isolation == expected
+
+    def fraction_refined(self, max_width):
+        return RealAlgebraic(self.minpoly, helpers.fraction_refined(self.minpoly, self.isolation, max_width))
+
+    monkeypatch.setattr(RealAlgebraic, "refined", fraction_refined)
+    oracle_report = prop2_pipeline(5, 64)
+    bounds = [
+        [c.modulus_bound for c in report.certificates if c.modulus_bound is not None]
+        for report in (prop2_report, oracle_report)
+    ]
+    assert bounds[0] == bounds[1] and len(bounds[0]) == 1
 
 
 def test_prop2_nmax_too_small_is_a_mismatch():
@@ -369,11 +392,21 @@ def test_cli_negative_values_after_space():
 
 def test_cli_classify_reducible_minpoly():
     # (4x+3)(x^2-2) is squarefree but reducible; both intervals isolate its
-    # root -3/4, and no bisection midpoint of [-1, -1/4] is -3/4.
+    # root -3/4, and no bisection midpoint of [-1, -1/4] is -3/4.  The answer
+    # is the rational one.  Its root -sqrt2 gets the answer of x^2-2.
+    expected = run_cli("classify", "--c", "-3/4", "--json")
     for interval in ("[-1,-1/4]", "[-1,-1/2]"):
-        code, out = run_cli("classify", "--c", f"(4x+3)(x^2-2)@{interval}", "--json")
-        assert code == 0, interval
-        assert json.loads(out)["parabolic"] == "Parabolic(2)", interval
+        assert run_cli("classify", "--c", f"(4x+3)(x^2-2)@{interval}", "--json") == expected, interval
+    code, out = run_cli("classify", "--c", "(4x+3)(x^2-2)@[-2,-1]", "--json")
+    irreducible = json.loads(run_cli("classify", "--c", "x^2-2@[-2,-1]", "--json")[1])
+    assert code == 0 and json.loads(out)["parabolic"] == irreducible["parabolic"]
+
+
+def test_parse_parameter_collapses_rational_roots():
+    assert parse_parameter("(4x+3)(x^2-2)@[-1,-1/4]") == parse_parameter("-3/4")
+    assert parse_parameter("(4x+3)(x^2-2)@[-3/4,0]") == parse_parameter("-3/4")
+    assert str(parse_parameter("(4x+3)(x^2-2)@[-1,-1/4]")) == "-3/4"
+    assert not parse_parameter("(4x+3)(x^2-2)@[1,2]").is_rational
 
 
 _coeff_lists = st.lists(st.integers(min_value=-20, max_value=20), max_size=5)
@@ -384,27 +417,56 @@ _polys = st.one_of(
     ),
 )
 _poly_texts = _polys.map(lambda p: format_poly(p, "x"))
-_rational_texts = st.fractions(min_value=-3, max_value=3, max_denominator=8).map(str)
+_huge_ints = st.builds(
+    lambda k, r: 10**k - r,
+    st.integers(min_value=100, max_value=300),
+    st.integers(min_value=0, max_value=10**6),
+)
+_huge_rationals = st.builds(
+    lambda sign, num, den: F(sign * num, den),
+    st.sampled_from((-1, 1)),
+    st.one_of(_huge_ints, st.integers(min_value=0, max_value=9)),
+    st.one_of(_huge_ints, st.integers(min_value=1, max_value=9)),
+)
+_rational_texts = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    _huge_rationals,
+).map(str)
 _junk_texts = st.text(alphabet="x0123456789+-*/()@[],. ", max_size=10)
 
 
-def _isolated_root_text(p, index):
-    # a well-formed minpoly@[lo,hi] whenever p has a real root
+def _isolated_root_text(p, index, pad):
+    # a well-formed minpoly@[lo,hi] whenever p has a real root; a pad with a
+    # huge denominator gives huge ends
     roots = () if p.is_zero else isolate_real_roots(p)
     if not roots:
         return format_poly(p, "x")
     iv = roots[index % len(roots)]
-    return f"{format_poly(p, 'x')}@[{iv.lo},{iv.hi}]"
+    return f"{format_poly(p, 'x')}@[{iv.lo - pad},{iv.hi + pad}]"
 
 
 _parameter_texts = st.one_of(
     _rational_texts,
     st.builds(lambda p, lo, hi: f"{p}@[{lo},{hi}]", _poly_texts, _rational_texts, _rational_texts),
-    st.builds(_isolated_root_text, _polys, st.integers(min_value=0, max_value=3)),
+    st.builds(
+        _isolated_root_text,
+        _polys,
+        st.integers(min_value=0, max_value=3),
+        st.one_of(st.just(F(0)), _huge_ints.map(lambda h: F(1, h))),
+    ),
     _junk_texts,
 )
 _cli_argvs = st.one_of(
     st.tuples(st.just("classify"), st.just("--c"), _parameter_texts),
+    st.tuples(
+        st.just("multiplier"),
+        st.just("--c"),
+        _rational_texts,
+        st.just("--period"),
+        st.integers(min_value=0, max_value=4).map(str),
+        st.just("--cycle-poly"),
+        st.one_of(_poly_texts, _junk_texts),
+    ),
     st.tuples(
         st.sampled_from(("kronecker", "totally-real", "isolate")),
         st.just("--poly"),
@@ -414,10 +476,11 @@ _cli_argvs = st.one_of(
 
 
 @given(argv=_cli_argvs, as_json=st.booleans())
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_cli_exit_codes_on_fuzzed_input(argv, as_json):
     # zero, constant, non-monic and reducible polynomials, malformed
-    # minpoly@[lo,hi] and small rationals: an exit code, never an exception
+    # minpoly@[lo,hi], small rationals and rationals with numerators and
+    # denominators up to 10^300: an exit code, never an exception
     with contextlib.redirect_stderr(io.StringIO()):
         code, _ = run_cli(*argv, *(("--json",) if as_json else ()))
     assert code in (0, 1, 2)

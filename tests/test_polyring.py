@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from parabkit.cyclotomic import trace_polynomial
 from parabkit.polyring import (
     ConstantPolynomialError,
     IntegerPoly,
@@ -252,6 +253,22 @@ def test_isolate_real_roots_invariants():
     for iv in intervals:
         assert sturm_count(p, RationalInterval(iv.lo, iv.hi)) == 1
         assert iv.is_point or iv.width <= F(1, 4)
+
+
+def test_isolate_real_roots_matches_fraction_oracle_on_trace_polynomials():
+    for n in range(1, 31):
+        tn = trace_polynomial(n)
+        assert isolate_real_roots(tn) == helpers.fraction_isolate_real_roots(tn), n
+
+
+@given(p=small_int_polys, q=small_int_polys)
+@settings(max_examples=60, deadline=None)
+def test_isolate_real_roots_matches_fraction_oracle(p, q):
+    # products of small factors have rational roots, some of them not dyadic
+    f = p * q
+    if f.is_zero:
+        return
+    assert isolate_real_roots(f) == helpers.fraction_isolate_real_roots(f)
 
 
 def test_isolate_rational_roots_become_points():
