@@ -6,8 +6,9 @@ Sturm counting, root isolation, a small expression grammar).  ``cyclotomic``
 adds cyclotomic and trace polynomials with a Kronecker-style root-of-unity
 test.  ``algebraic`` wraps isolated real algebraic numbers with exact
 comparison and sign evaluation.  ``dynamics`` studies iteration of
-f_c(z) = z^2 + c: discriminant polynomials P_n, cycle certificates, orbit
-tests, and one interval-certified numeric search.  ``classify`` assembles
+f_c(z) = z^2 + c: discriminant polynomials P_n and their values at rational
+parameters, cycle certificates, orbit tests, and one interval-certified
+numeric search.  ``classify`` assembles
 the classification pipelines and the ``parabkit`` command-line tool.
 """
 
@@ -90,6 +91,7 @@ from .dynamics import (
     iterate_map,
     parity_certificate,
     period_poly,
+    point_discriminant,
     real_behavior,
     verify_cycle,
 )

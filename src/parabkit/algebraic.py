@@ -273,23 +273,36 @@ def all_conjugates_in(p: IntegerPoly, interval: RationalInterval) -> bool:
 
 
 def affine_transform(alpha: RealAlgebraic, s: Rat, t: Rat) -> RealAlgebraic:
-    """The number s*alpha + t, with minpoly from the substitution x -> (x-t)/s."""
+    """The number s*alpha + t, for a validated alpha and rational s != 0.
+
+    A rational alpha maps to a rational.  Otherwise the image minimal
+    polynomial is built in integers from m = minpoly(alpha) of degree D, by
+    writing s*alpha + t = (y + u)/v with t = u/v and y = (P/Q)*alpha for
+    P/Q = s*v: y is a root of sum m_i Q^i P^(D-i) y^i (a scaling of the
+    coefficients), y + u a root of that polynomial shifted by u (a Taylor
+    shift), and (y + u)/v a root of its coefficients times v^i; the image
+    polynomial is the primitive part.  The open isolation of an irrational
+    alpha maps exactly to an open interval, its ends swapped when s < 0, and
+    is refined to width at most 1.  Nothing is re-validated: an affine map
+    keeps the roots distinct and the interval isolating, and the image of an
+    irrational is irrational.
+    """
     s, t = Fraction(s), Fraction(t)
     if s == 0:
         raise ZeroScaleError("scale factor must be nonzero")
     if alpha.is_rational:
         return from_rational(s * alpha.to_rational() + t)
-    d = alpha.minpoly.degree
-    inner = RationalPoly((-t / s, 1 / s))  # (x - t)/s
-    moved = alpha.minpoly.to_rational().compose(inner) * s**d
-    _, prim = content_and_primitive(moved)
-    iv = alpha.isolation
-    lo, hi = s * iv.lo + t, s * iv.hi + t
-    lo_s, hi_s = iv.lo_strict, iv.hi_strict
-    if s < 0:
-        lo, hi = hi, lo
-        lo_s, hi_s = hi_s, lo_s
-    return make_real_algebraic(prim, RationalInterval(lo, hi, lo_s, hi_s))
+    u, v = t.numerator, t.denominator
+    ratio = s * v
+    P, Q = ratio.numerator, ratio.denominator
+    deg = alpha.minpoly.degree
+    cs = [c * Q**i * P ** (deg - i) for i, c in enumerate(alpha.minpoly.coeffs)]
+    for i in range(deg):  # Taylor shift: cs becomes the coefficients at x - u
+        for j in range(deg - 1, i - 1, -1):
+            cs[j] -= u * cs[j + 1]
+    image = IntegerPoly(tuple(c * v**i for i, c in enumerate(cs))).primitive()
+    ends = sorted((s * alpha.isolation.lo + t, s * alpha.isolation.hi + t))
+    return RealAlgebraic(image, RationalInterval(*ends, True, True)).refined(1)
 
 
 def _scaled_remainder(p: IntegerPoly, m: IntegerPoly) -> IntegerPoly:

@@ -30,6 +30,7 @@ from typing import Optional, Union
 
 from .algebraic import (
     NotIsolatingError,
+    NotSquarefreeError,
     RealAlgebraic,
     affine_transform,
     all_conjugates_in,
@@ -268,10 +269,14 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
     candidates are confirmed (-7/4) or eliminated one by one.  The final set
     must be exactly {1/4, -3/4, -5/4, -7/4}.
 
+    Every P_n it reads is at a rational point (the landmarks, -7/4 and -2
+    through is_parabolic_up_to, b = 0 and b = -6 through parity_certificate),
+    so it computes point discriminants and builds no bivariate P_n.
+
     Raises PipelineMismatchError when a recorded expectation fails and
     propagates PrecisionInsufficientError from the numeric elimination.  An
     nmax outside 1..DISCRIMINANT_CAP is refused by the first
-    is_parabolic_up_to call, before any P_n is built.
+    is_parabolic_up_to call.
     """
     start = time.monotonic()
     certificates = []
@@ -467,7 +472,13 @@ def parse_parameter(text: str) -> RealAlgebraic:
     return make_real_algebraic(prim, RationalInterval(lo, hi))
 
 
-_USAGE_ERRORS = (ParseError, NotIsolatingError, ZeroPolynomialError, ConstantPolynomialError)
+_USAGE_ERRORS = (
+    ParseError,
+    NotIsolatingError,
+    NotSquarefreeError,
+    ZeroPolynomialError,
+    ConstantPolynomialError,
+)
 
 
 def _emit(args, text: str) -> None:

@@ -2,10 +2,13 @@
 
 Symbolic iterates and period polynomials live in ``IteratedMapPoly`` (monic in
 z over Z[c]).  From those this module derives the discriminant polynomials
-P_n(b), defined by disc_z(f_c^n(z) - z) = P_n(4c), together with parity
-certificates at b = 0 and b = -6, dynatomic polynomials, exact cycle
-multipliers, orbit tests for rational parameters, and one numeric search
-for attracting cycles that is certified by interval arithmetic.
+P_n(b), defined by disc_z(f_c^n(z) - z) = P_n(4c), for ``pn`` and for an
+algebraic parameter.  At a rational parameter c, ``point_discriminant``
+gives the value P_n(4c) as one univariate integer discriminant and builds
+no P_n; the bounded parabolicity search and the parity certificates at
+b = 0 and b = -6 read it.  Dynatomic polynomials, exact cycle multipliers,
+orbit tests for rational parameters, and one numeric search for attracting
+cycles that is certified by interval arithmetic complete the module.
 
 Everything except ``find_attracting_cycle_numeric`` is exact integer or
 rational arithmetic.  The numeric search works on closed intervals whose
@@ -23,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
-from .algebraic import RealAlgebraic, affine_transform, from_rational, sign_at
+from .algebraic import RealAlgebraic, affine_transform, sign_at
 from .cyclotomic import divisors, moebius
 from .polyring import (
     IntegerPoly,
@@ -57,6 +60,7 @@ __all__ = [
     "iterate_map",
     "period_poly",
     "discriminant_Pn",
+    "point_discriminant",
     "parity_certificate",
     "dynatomic_poly",
     "cycle_multiplier",
@@ -163,8 +167,8 @@ class ParityCertificate:
     """Mod-2 record showing P_n cannot vanish at b = 0 or b = -6.
 
     Each field is a bit; a valid certificate has all three equal to 1.
-    ``cross_check_disc_z2n`` records that P_n(0) equals the independently
-    computed discriminant of z^(2^n) - z over the integers.
+    ``cross_check_disc_z2n`` records that P_n(0) equals the closed form of
+    disc(z^(2^n) - z) proved in ``_disc_z2n_closed_form``.
     """
 
     n: int
@@ -291,23 +295,77 @@ def discriminant_Pn(n: int) -> IntegerPoly:
     return _pn(n)
 
 
-def parity_certificate(n: int) -> ParityCertificate:
-    """Certify P_n(0) and P_n(-6) odd, with an independent check of P_n(0).
-
-    P_n(0) must equal disc(z^(2^n) - z), computed here directly over the
-    integers without going through the bivariate machinery.
-    """
-    pn = discriminant_Pn(n)
-    at_zero = pn.coeff(0)
-    at_minus_six = int(pn.evaluate(-6))
+@lru_cache(maxsize=256)
+def _point_discriminant(n: int, c: Fraction) -> Fraction:
+    a, d = c.numerator, c.denominator
+    w = IntegerPoly((a * d, 0, 1))
+    for k in range(1, n):
+        w = w * w + IntegerPoly.constant(a * d ** (2 ** (k + 1) - 1))
     m = 2**n
-    z2n_minus_z = IntegerPoly((0, -1) + (0,) * (m - 2) + (1,))
-    independent = discriminant(z2n_minus_z)
+    g = w - IntegerPoly((0, d ** (m - 1)))
+    return Fraction(discriminant(g), d ** (m * (m - 1)))
+
+
+def point_discriminant(n: int, c: Rat) -> Fraction:
+    """Return P_n(4c) = disc_z(f_c^n(z) - z) at a rational c = a/d, exactly.
+
+    No P_n and no IteratedMapPoly is built.  Substituting z = w/d gives
+    f_c^k(z) = W_k(w)/d^(2^k) with the integer polynomials W_1 = w^2 + a*d
+    and W_(k+1) = W_k^2 + a*d^(2^(k+1) - 1).  With m = 2^n,
+    f_c^n(z) - z = G(w)/d^m for the monic G = W_n - d^(m-1) w, whose roots
+    are d times those of f_c^n(z) - z, so
+    disc_z(f_c^n(z) - z) = prod_(i<j) (z_i - z_j)^2 = disc(G)/d^(m(m-1)).
+    disc(G) is one subresultant PRS over the integers in degree m.  The
+    value is an integer whenever 4c is one (P_n has integer coefficients).
+    Cached per (n, c) in a bounded LRU cache.
+
+    >>> point_discriminant(2, Fraction(-3, 4))
+    Fraction(0, 1)
+    >>> point_discriminant(2, 0)
+    Fraction(-27, 1)
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > ITERATE_CAP:
+        raise CapExceededError(f"iterate cap is {ITERATE_CAP}, got n={n}")
+    return _point_discriminant(n, Fraction(c))
+
+
+def _disc_z2n_closed_form(n: int) -> int:
+    """disc(z^(2^n) - z): 1 for n = 1 and -(2^n - 1)^(2^n - 1) for n >= 2.
+
+    For a monic p of degree m, disc p = (-1)^(m(m-1)/2) * prod p'(r) over
+    the roots r of p.  The roots of p = z^m - z are 0 and the m - 1 roots
+    zeta of zeta^(m-1) = 1, with p'(0) = -1 and
+    p'(zeta) = m*zeta^(m-1) - 1 = m - 1, so the product is -(m-1)^(m-1).
+    For m = 2 the sign (-1)^(m(m-1)/2) is -1, giving disc(z^2 - z) = 1; for
+    m = 2^n with n >= 2, m(m-1)/2 = 2^(n-1)(2^n - 1) is even, giving
+    -(2^n - 1)^(2^n - 1).  Either way the value is odd.
+
+    >>> [_disc_z2n_closed_form(n) for n in (1, 2, 3)]
+    [1, -27, -823543]
+    """
+    if n == 1:
+        return 1
+    m = 2**n
+    return -((m - 1) ** (m - 1))
+
+
+def parity_certificate(n: int) -> ParityCertificate:
+    """Certify P_n(0) and P_n(-6) odd, and P_n(0) against its closed form.
+
+    Both values are point discriminants, at c = 0 and c = -3/2, where 4c
+    is an integer and so are the values.  P_n(0) = disc(z^(2^n) - z), which
+    _disc_z2n_closed_form gives for every n (proof in its docstring);
+    ``cross_check_disc_z2n`` is 1 when the point value equals it.
+    """
+    at_zero = int(point_discriminant(n, 0))
+    at_minus_six = int(point_discriminant(n, Fraction(-3, 2)))
     return ParityCertificate(
         n=n,
         value_at_0_mod2=at_zero % 2,
         value_at_minus6_mod2=at_minus_six % 2,
-        cross_check_disc_z2n=1 if independent == at_zero else 0,
+        cross_check_disc_z2n=1 if at_zero == _disc_z2n_closed_form(n) else 0,
     )
 
 
@@ -469,18 +527,30 @@ def real_behavior(c: Rat) -> RealBehavior:
 def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerdict:
     """Search for the least n <= nmax with P_n(4c) = 0.
 
-    Each P_n is evaluated at b = 4c by the exact sign oracle
-    ``algebraic.sign_at``, which takes one integer sign when c is rational.
+    A rational c is tested by point_discriminant(n, c) == 0, which builds no
+    P_n.  An irrational c keeps the bivariate P_n: its sign at b = 4c comes
+    from the exact oracle ``algebraic.sign_at`` on the cached P_n, the
+    cheapest exact route in a warm process, and a point evaluation at an
+    algebraic c (a witness modulo a prime, say) would have to beat it first.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     if nmax > DISCRIMINANT_CAP:
         raise CapExceededError(f"discriminant cap is {DISCRIMINANT_CAP}, got nmax={nmax}")
-    if not isinstance(c, RealAlgebraic):
-        c = from_rational(c)
-    b_point = affine_transform(c, 4, 0)
+    if isinstance(c, RealAlgebraic) and not c.is_rational:
+        b_point = affine_transform(c, 4, 0)
+
+        def vanishes(n: int) -> bool:
+            return sign_at(discriminant_Pn(n), b_point) == 0
+
+    else:
+        q = c.to_rational() if isinstance(c, RealAlgebraic) else Fraction(c)
+
+        def vanishes(n: int) -> bool:
+            return point_discriminant(n, q) == 0
+
     for n in range(1, nmax + 1):
-        if sign_at(discriminant_Pn(n), b_point) == 0:
+        if vanishes(n):
             return ParabolicVerdict("parabolic", n)
     return ParabolicVerdict("not-up-to-bound", nmax)
 

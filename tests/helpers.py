@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import mpmath
 
+from parabkit.algebraic import from_rational, make_real_algebraic
 from parabkit.cyclotomic import cyclotomic_poly, euler_phi, trace_polynomial
 from parabkit.dynamics import cycle_multiplier, dynatomic_poly, period_poly
 from parabkit.polyring import (
@@ -21,6 +22,7 @@ from parabkit.polyring import (
     RationalPoly,
     ZeroPolynomialError,
     cauchy_bound,
+    content_and_primitive,
     discriminant,
     format_poly,
     parse_poly,
@@ -363,3 +365,25 @@ def fraction_isolate_real_roots(p) -> tuple:
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     return tuple(intervals)
 
+
+def fraction_affine_transform(alpha, s, t):
+    """Reference s*alpha + t: the Fraction substitution x -> (x - t)/s.
+
+    The affine_transform that composed the minimal polynomial with a
+    RationalPoly and re-validated the image through make_real_algebraic,
+    kept as an oracle for the integer scaling and Taylor shift.
+    """
+    s, t = Fraction(s), Fraction(t)
+    if alpha.is_rational:
+        return from_rational(s * alpha.to_rational() + t)
+    d = alpha.minpoly.degree
+    inner = RationalPoly((-t / s, 1 / s))  # (x - t)/s
+    moved = alpha.minpoly.to_rational().compose(inner) * s**d
+    _, prim = content_and_primitive(moved)
+    iv = alpha.isolation
+    lo, hi = s * iv.lo + t, s * iv.hi + t
+    lo_s, hi_s = iv.lo_strict, iv.hi_strict
+    if s < 0:
+        lo, hi = hi, lo
+        lo_s, hi_s = hi_s, lo_s
+    return make_real_algebraic(prim, RationalInterval(lo, hi, lo_s, hi_s))

@@ -36,6 +36,9 @@ def _clear_caches():
             member = getattr(module, name)
             if hasattr(member, "cache_clear"):
                 member.cache_clear()
+    # the point values read by prop2 and the parity certificates start cold too
+    assert _dynamics._point_discriminant.cache_info().currsize == 0
+    assert _dynamics._pn.cache_info().currsize == 0
 
 
 @contextlib.contextmanager

@@ -333,6 +333,29 @@ def test_sign_at_matches_fraction_evaluation_near_zero(m, g, c, j):
         assert sign_at(p, alpha) == (value > 0) - (value < 0)
 
 
+nonzero_scales = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
+
+
+@given(
+    m=squarefree_polys(),
+    s=nonzero_scales,
+    t=st.fractions(min_value=-50, max_value=50, max_denominator=50),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_affine_transform_matches_fraction_substitution(m, s, t):
+    # the integer scaling and Taylor shift against the Fraction substitution
+    # re-validated by make_real_algebraic, for every irrational root of m,
+    # including isolations that end at another root
+    for iv in _isolations(m):
+        if make_real_algebraic(m, iv).is_rational:
+            continue
+        alpha = RealAlgebraic(m, iv)
+        image = affine_transform(alpha, s, t)
+        expected = helpers.fraction_affine_transform(alpha, s, t)
+        assert (image.minpoly, image.isolation) == (expected.minpoly, expected.isolation)
+        assert image == expected
+
+
 def test_constant_polynomials_are_refused():
     for p in (IntegerPoly((5,)), IntegerPoly((1,))):
         with pytest.raises(ConstantPolynomialError):

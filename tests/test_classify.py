@@ -328,6 +328,31 @@ def test_import_does_not_load_mpmath():
     assert result.stdout.strip() == "False"
 
 
+def test_fresh_prop2_builds_no_pn():
+    # prop2 reads P_n only at rational points: in a fresh process it leaves
+    # the P_n cache empty and never calls the bivariate resultant; the
+    # discriminant_Pn call afterwards shows that the probe sees both.
+    import parabkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
+    probe = (
+        "from parabkit import dynamics, polyring\n"
+        "calls = []\n"
+        "original = polyring.resultant_in_z\n"
+        "polyring.resultant_in_z = lambda *args: calls.append(1) or original(*args)\n"
+        "from parabkit.classify import prop2_pipeline\n"
+        "prop2_pipeline()\n"
+        "print(dynamics._pn.cache_info().currsize, len(calls))\n"
+        "dynamics.discriminant_Pn(2)\n"
+        "print(dynamics._pn.cache_info().currsize, len(calls))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["0 0", "1 1"]
+
+
 def test_cli_multiplier():
     code, out = run_cli("multiplier", "--c", "-5/4", "--period", "2", "--cycle-poly", "4z^2+4z-1")
     assert code == 0 and "-1" in out
@@ -380,6 +405,7 @@ def test_cli_usage_errors():
     assert run_cli("isolate", "--poly", "0")[0] == 2
     assert run_cli("kronecker", "--poly", "5")[0] == 2  # constant polynomial
     assert run_cli("totally-real", "--poly", "5")[0] == 2
+    assert run_cli("classify", "--c", "(x^2-2)^2@[1,2]")[0] == 2  # repeated root
 
 
 def test_cli_negative_values_after_space():
@@ -484,3 +510,55 @@ def test_cli_exit_codes_on_fuzzed_input(argv, as_json):
     with contextlib.redirect_stderr(io.StringIO()):
         code, _ = run_cli(*argv, *(("--json",) if as_json else ()))
     assert code in (0, 1, 2)
+
+
+_repeated_root_polys = st.tuples(_polys, _polys).filter(
+    lambda pair: pair[0].degree >= 1 and not pair[1].is_zero
+).map(lambda pair: pair[0] * pair[0] * pair[1])
+
+
+@given(
+    p=_repeated_root_polys,
+    lo=_rational_texts,
+    hi=_rational_texts,
+    command=st.sampled_from(("classify", "totally-real")),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_cli_repeated_roots_are_usage_errors(p, lo, hi, command):
+    # g^2 * h has a repeated root: a malformed parameter or polynomial
+    text = format_poly(p, "x")
+    argv = ("classify", "--c", f"{text}@[{lo},{hi}]") if command == "classify" else (command, "--poly", text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(*argv)
+    assert code == 2, (argv, err.getvalue())
+
+
+_verify_and_pn_argvs = st.one_of(
+    st.tuples(
+        st.just("verify"),
+        st.sampled_from(("prop1", "prop2")),
+        st.just("--nmax"),
+        st.integers(min_value=-1, max_value=7).map(str),
+        st.just("--precision"),
+        st.integers(min_value=-1, max_value=80).map(str),
+    ),
+    st.builds(
+        lambda n, parity: ("pn", "--n", str(n)) + (("--check-parity",) if parity else ()),
+        st.integers(min_value=-2, max_value=7),
+        st.booleans(),
+    ),
+)
+
+
+@given(argv=_verify_and_pn_argvs, as_json=st.booleans())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_cli_exit_codes_on_fuzzed_verify_and_pn(argv, as_json):
+    # nmax and n below, inside and above the caps, precisions too small to
+    # certify and negative ones: an exit code and a one-line message, never
+    # an exception
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(*argv, *(("--json",) if as_json else ()))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from parabkit import dynamics
 from parabkit.dynamics import (
     _enclose_parameter,
     _mul,
@@ -32,6 +33,7 @@ from parabkit.dynamics import (
     iterate_map,
     parity_certificate,
     period_poly,
+    point_discriminant,
     real_behavior,
     verify_cycle,
 )
@@ -39,6 +41,7 @@ from parabkit.algebraic import make_real_algebraic
 from parabkit.polyring import (
     IntegerPoly,
     content_and_primitive,
+    discriminant,
     format_poly,
     isolate_real_roots,
     parse_poly,
@@ -140,6 +143,49 @@ def test_parity_certificates_against_frozen_oracles():
         assert discriminant_Pn(n).coeff(0) == DISC_Z2N[n], n
         assert int(discriminant_Pn(n).evaluate(-6)) == PN_AT_MINUS6[n], n
         assert DISC_Z2N[n] % 2 == 1 and PN_AT_MINUS6[n] % 2 == 1
+
+
+def test_point_discriminant_against_frozen_oracles():
+    for n in range(1, 6):
+        assert point_discriminant(n, 0) == DISC_Z2N[n], n
+        assert point_discriminant(n, F(-3, 2)) == PN_AT_MINUS6[n], n
+
+
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    c=st.fractions(min_value=-3, max_value=1, max_denominator=12),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_point_discriminant_equals_pn_at_4c(n, c):
+    # the point value against the bivariate P_n, at parameters whose
+    # denominators are and are not powers of 2
+    assert point_discriminant(n, c) == discriminant_Pn(n).evaluate(4 * c)
+
+
+def test_point_discriminant_at_the_prop2_parameters():
+    for c in (F(1, 4), F(-3, 4), F(-5, 4), F(-7, 4), F(-2), F(-3, 2)):
+        for n in range(1, 6):
+            assert point_discriminant(n, c) == discriminant_Pn(n).evaluate(4 * c), (c, n)
+
+
+def test_disc_z2n_closed_form():
+    # disc(z^(2^n) - z) is 1 for n = 1 and -(2^n - 1)^(2^n - 1) for n >= 2,
+    # checked against the point value and a direct univariate discriminant
+    for n in range(1, 7):
+        m = 2**n
+        closed = 1 if n == 1 else -((m - 1) ** (m - 1))
+        assert dynamics._disc_z2n_closed_form(n) == closed
+        assert point_discriminant(n, 0) == closed, n
+        assert discriminant(IntegerPoly((0, -1) + (0,) * (m - 2) + (1,))) == closed, n
+        assert parity_certificate(n).is_valid, n
+
+
+def test_point_discriminant_range():
+    with pytest.raises(ValueError):
+        point_discriminant(0, F(1, 4))
+    with pytest.raises(CapExceededError):
+        point_discriminant(7, F(1, 4))
+    assert point_discriminant(6, F(1, 4)) == 0  # n = 6 is within the iterate cap
 
 
 def test_pn_root_iff_multiple_cycle():
