@@ -7,9 +7,9 @@ adds cyclotomic and trace polynomials with a Kronecker-style root-of-unity
 test.  ``algebraic`` wraps isolated real algebraic numbers with exact
 comparison and sign evaluation.  ``dynamics`` studies iteration of
 f_c(z) = z^2 + c: discriminant polynomials P_n and their values at rational
-parameters, cycle certificates, orbit tests, and one interval-certified
-numeric search.  ``classify`` assembles
-the classification pipelines and the ``parabkit`` command-line tool.
+parameters, cycle certificates, orbit tests, and multiplier polynomials
+that certify attracting cycles exactly.  ``classify`` assembles the
+classification pipelines and the ``parabkit`` command-line tool.
 """
 
 from .polyring import (
@@ -66,29 +66,27 @@ from .dynamics import (
     DISCRIMINANT_CAP,
     ESCAPE_BUDGET,
     ITERATE_CAP,
-    NUMERIC_PERIOD_CAP,
+    AttractingCycleCertificate,
     CapExceededError,
     CycleCertificate,
     DegreeMismatchError,
     IntegralityViolationError,
     MultiplierMismatchError,
-    NoConvergenceError,
     NotAFactorError,
-    NumericCycleCertificate,
     ParabolicVerdict,
     ParityCertificate,
     PcfResult,
-    PrecisionInsufficientError,
     RealBehavior,
     UnresolvedError,
+    certify_attracting_cycle,
     cycle_multiplier,
     discriminant_Pn,
     dynatomic_poly,
     escapes,
-    find_attracting_cycle_numeric,
     is_parabolic_up_to,
     is_pcf_rational,
     iterate_map,
+    multiplier_polynomial,
     parity_certificate,
     period_poly,
     point_discriminant,

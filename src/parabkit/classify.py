@@ -11,10 +11,9 @@ family f_c(z) = z^2 + c as machine-checked transcripts:
 Both share the same skeleton.  A Kronecker-style argument turns "algebraic
 integer with all conjugates in a short real interval" into "root of a trace
 polynomial T_n for an admissible order n", which produces a finite candidate
-list; every candidate is then confirmed or eliminated by an exact certificate
-(the single numeric elimination carries an interval-certified multiplier
-bound instead).  The resulting ``ClassificationReport`` serializes to a
-versioned JSON schema and back.
+list; every candidate is then confirmed or eliminated by an exact certificate.
+The resulting ``ClassificationReport`` serializes to a versioned JSON schema
+and back.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ from .dynamics import (
     DISCRIMINANT_CAP,
     ESCAPES_TO_INFINITY,
     RealBehavior,
+    certify_attracting_cycle,
     cycle_multiplier,
     discriminant_Pn,
-    find_attracting_cycle_numeric,
     is_parabolic_up_to,
     is_pcf_rational,
     parity_certificate,
@@ -102,7 +101,7 @@ class Certificate:
     ``verdict`` is "confirmed" or "eliminated".  ``checked_up_to`` records
     the period bound of any bounded search involved (0 when none was).
     ``modulus_bound`` carries the exact rational upper bound on a cycle
-    multiplier modulus for numeric eliminations.
+    multiplier modulus for the attracting-cycle elimination.
     """
 
     candidate: RealAlgebraic
@@ -119,7 +118,6 @@ class Certificate:
 @dataclass(frozen=True, slots=True)
 class Environment:
     nmax: int
-    precision: int
     runtime_ms: int = field(compare=False)
 
 
@@ -145,6 +143,10 @@ _PROP2_LANDMARKS = (
 )
 
 _PROP2_PERIOD3 = (Fraction(-7, 4), IntegerPoly((-1, -18, 4, 8)), 3, Fraction(1))
+
+# Period n and interval (a, b) on which Delta_n(., c) changes sign at the
+# larger quadratic candidate c = (-13 + sqrt5)/8.
+_PROP2_ATTRACTING = (4, Fraction(-3, 5), Fraction(-1, 2))
 
 
 def prop1_pipeline(
@@ -239,7 +241,7 @@ def prop1_pipeline(
         proposition="prop1",
         parameters=tuple(confirmed),
         certificates=tuple(certificates),
-        environment=Environment(nmax=0, precision=0, runtime_ms=runtime_ms),
+        environment=Environment(nmax=0, runtime_ms=runtime_ms),
     )
 
 
@@ -258,7 +260,7 @@ def _prop2_candidates() -> list:
     return candidates
 
 
-def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
+def prop2_pipeline(nmax: int = 5) -> ClassificationReport:
     """Classify totally real parameters carrying a parabolic cycle.
 
     Stage one confirms the landmarks 1/4, -3/4 and -5/4 through vanishing
@@ -273,10 +275,18 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
     through is_parabolic_up_to, b = 0 and b = -6 through parity_certificate),
     so it computes point discriminants and builds no bivariate P_n.
 
-    Raises PipelineMismatchError when a recorded expectation fails and
-    propagates PrecisionInsufficientError from the numeric elimination.  An
-    nmax outside 1..DISCRIMINANT_CAP is refused by the first
-    is_parabolic_up_to call.
+    The larger quadratic candidate c = (-13 + sqrt5)/8 is eliminated by
+    certify_attracting_cycle(c, 4, -3/5, -1/2): Delta_4(., c) changes sign
+    on (-3/5, -1/2), so f_c has an attracting cycle with an f^4-multiplier
+    in that interval, and |multiplier| < 3/5.  That cycle has period
+    exactly 4: at real c < 1/4 the fixed points z are real, so their
+    f^4-multiplier (2z)^4 is not negative, and the 2-cycle multiplier
+    4(c + 1) is real, so its square is not negative either.  The smaller
+    candidate is its Galois conjugate.
+
+    Raises PipelineMismatchError when a recorded expectation fails, and
+    MultiplierMismatchError if the sign change were lost.  An nmax outside
+    1..DISCRIMINANT_CAP is refused by the first is_parabolic_up_to call.
     """
     start = time.monotonic()
     certificates = []
@@ -304,11 +314,9 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
         raise PipelineMismatchError(f"unexpected candidate list {candidates}")
     golden_low, golden_high = quadratics  # (-13 - sqrt5)/8 < (-13 + sqrt5)/8
 
-    # The one numeric elimination: the larger quadratic candidate carries an
-    # attracting cycle of period 4, so no cycle multiplier is a root of unity.
-    numeric = find_attracting_cycle_numeric(golden_high, 4, precision=precision)
-    if not numeric.exact_period:
-        raise PipelineMismatchError("period-4 boxes were not pairwise disjoint")
+    # The larger quadratic candidate carries an attracting cycle of period 4,
+    # so no cycle multiplier is a root of unity.
+    attracting = certify_attracting_cycle(golden_high, *_PROP2_ATTRACTING)
 
     for candidate in candidates:
         if candidate.is_rational and candidate.to_rational() == Fraction(-2):
@@ -360,10 +368,11 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
                 Certificate(
                     candidate,
                     "eliminated",
-                    f"AttractingCycle(period {numeric.period}, "
-                    f"|multiplier| <= {float(numeric.modulus_upper):.8g})",
+                    f"AttractingCycle(period {attracting.period}, Delta_{attracting.period} "
+                    f"changes sign on ({attracting.lo}, {attracting.hi}), so "
+                    f"|multiplier| < {attracting.modulus_bound})",
                     nmax,
-                    modulus_bound=numeric.modulus_upper,
+                    modulus_bound=attracting.modulus_bound,
                 )
             )
         elif candidate == golden_low:
@@ -390,7 +399,7 @@ def prop2_pipeline(nmax: int = 5, precision: int = 64) -> ClassificationReport:
         proposition="prop2",
         parameters=tuple(confirmed),
         certificates=tuple(certificates),
-        environment=Environment(nmax=nmax, precision=precision, runtime_ms=runtime_ms),
+        environment=Environment(nmax=nmax, runtime_ms=runtime_ms),
     )
 
 
@@ -414,7 +423,6 @@ def report_to_json(report: ClassificationReport) -> str:
         "certificates": certificates,
         "environment": {
             "nmax": report.environment.nmax,
-            "precision": report.environment.precision,
             "runtime_ms": report.environment.runtime_ms,
         },
     }
@@ -443,20 +451,22 @@ def report_from_json(text: str) -> ClassificationReport:
         proposition=payload["proposition"],
         parameters=tuple(Fraction(p) for p in payload["parameters"]),
         certificates=tuple(certificates),
-        environment=Environment(
-            nmax=env["nmax"], precision=env["precision"], runtime_ms=env["runtime_ms"]
-        ),
+        environment=Environment(nmax=env["nmax"], runtime_ms=env["runtime_ms"]),
     )
+
+
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a rational parameter: {text!r}", 0) from exc
 
 
 def parse_parameter(text: str) -> RealAlgebraic:
     """Parse "p/q" or "minpoly@[lo,hi]" into a validated real algebraic number."""
     text = text.strip()
     if "@" not in text:
-        try:
-            return from_rational(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational parameter: {text!r}", 0) from exc
+        return from_rational(_parse_rational(text))
     poly_text, _, interval_text = text.partition("@")
     interval_text = interval_text.strip()
     if not (interval_text.startswith("[") and interval_text.endswith("]")):
@@ -495,7 +505,7 @@ def _run_verify(args) -> int:
     if args.proposition == "prop1":
         report = prop1_pipeline()
     else:
-        report = prop2_pipeline(nmax=args.nmax, precision=args.precision)
+        report = prop2_pipeline(nmax=args.nmax)
     if getattr(args, "json", False):
         if not args.quiet:
             print(report_to_json(report))
@@ -571,7 +581,7 @@ def _run_classify(args) -> int:
 
 
 def _run_multiplier(args) -> int:
-    c = Fraction(args.c)
+    c = _parse_rational(args.c)
     _, g = content_and_primitive(parse_poly(args.cycle_poly))
     lam = cycle_multiplier(g, args.period)
     verify_cycle(c, g, args.period, lam)
@@ -631,7 +641,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common], help="run a classification pipeline")
     verify.add_argument("proposition", choices=("prop1", "prop2"))
     verify.add_argument("--nmax", type=int, default=5, help="bounded-search period cap")
-    verify.add_argument("--precision", type=int, default=64, help="numeric decimal digits")
     verify.set_defaults(run=_run_verify)
 
     pn = sub.add_parser("pn", parents=[common], help="print the discriminant polynomial P_n")
@@ -675,9 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Flags whose values may start with '-' (negative rationals, polynomials);
 # merging them into --flag=value form keeps argparse from eating the value.
-_VALUE_FLAGS = frozenset(
-    {"--c", "--poly", "--cycle-poly", "--n", "--nmax", "--period", "--precision"}
-)
+_VALUE_FLAGS = frozenset({"--c", "--poly", "--cycle-poly", "--n", "--nmax", "--period"})
 
 
 def _normalize_argv(argv) -> list:

@@ -7,24 +7,20 @@ algebraic parameter.  At a rational parameter c, ``point_discriminant``
 gives the value P_n(4c) as one univariate integer discriminant and builds
 no P_n; the bounded parabolicity search and the parity certificates at
 b = 0 and b = -6 read it.  Dynatomic polynomials, exact cycle multipliers,
-orbit tests for rational parameters, and one numeric search for attracting
-cycles that is certified by interval arithmetic complete the module.
+orbit tests for rational parameters, and the multiplier polynomials
+Delta_n(lambda, c) complete the module: an exact sign change of
+Delta_n(., c) inside [-1, 1] certifies an attracting cycle
+(``certify_attracting_cycle``).
 
-Everything except ``find_attracting_cycle_numeric`` is exact integer or
-rational arithmetic.  The numeric search works on closed intervals whose
-ends are Python integers scaled by 2^-bits, rounded outward at every
-product (lower ends down, upper ends up), so it uses no floating point and
-no global state; it only reports a cycle when a containment argument proves
-one exists and the multiplier bound is conclusive.
+Everything is exact integer or rational arithmetic; nothing rounds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .algebraic import RealAlgebraic, affine_transform, sign_at
 from .cyclotomic import divisors, moebius
@@ -36,6 +32,8 @@ from .polyring import (
     RationalPoly,
     discriminant,
     discriminant_in_z,
+    _IPOLY_RING,
+    _prem,
 )
 
 __all__ = [
@@ -45,17 +43,14 @@ __all__ = [
     "MultiplierMismatchError",
     "DegreeMismatchError",
     "UnresolvedError",
-    "NoConvergenceError",
-    "PrecisionInsufficientError",
     "CycleCertificate",
     "RealBehavior",
     "ParityCertificate",
     "ParabolicVerdict",
     "PcfResult",
-    "NumericCycleCertificate",
+    "AttractingCycleCertificate",
     "ITERATE_CAP",
     "DISCRIMINANT_CAP",
-    "NUMERIC_PERIOD_CAP",
     "ESCAPE_BUDGET",
     "iterate_map",
     "period_poly",
@@ -69,21 +64,18 @@ __all__ = [
     "escapes",
     "real_behavior",
     "is_parabolic_up_to",
-    "find_attracting_cycle_numeric",
+    "multiplier_polynomial",
+    "certify_attracting_cycle",
 ]
 
 ITERATE_CAP = 6
 DISCRIMINANT_CAP = 5
-NUMERIC_PERIOD_CAP = 8
 ESCAPE_BUDGET = 1000
 
 # Orbit denominators double in bit length every step, so a non-integer
 # bounded orbit exhausts memory long before any plausible iteration budget.
 # The guard turns that into a clean UnresolvedError.
 _ESCAPE_BIT_GUARD = 65536
-
-_NUMERIC_BUDGET = 50000
-_CONTAINMENT_MULTS = (8, 32, 128, 1024)
 
 
 class CapExceededError(ParabkitError):
@@ -103,7 +95,11 @@ class NotAFactorError(ParabkitError):
 
 
 class MultiplierMismatchError(ParabkitError):
-    """The exact cycle multiplier differs from the expected value."""
+    """An exact multiplier check failed.
+
+    Either a cycle multiplier differs from the expected value, or
+    Delta_n(., c) does not change sign on the claimed multiplier interval.
+    """
 
 
 class DegreeMismatchError(ParabkitError):
@@ -112,23 +108,6 @@ class DegreeMismatchError(ParabkitError):
 
 class UnresolvedError(ParabkitError):
     """An orbit question could not be settled within the resource budget."""
-
-
-class NoConvergenceError(ParabkitError):
-    """The numeric orbit did not stabilize within the iteration budget."""
-
-
-class PrecisionInsufficientError(ParabkitError):
-    """The interval certificate is inconclusive at the working precision.
-
-    ``modulus_upper`` is the smallest multiplier bound (an exact dyadic
-    ``Fraction``) among the containment boxes tried, or None when no box
-    was invariant.
-    """
-
-    def __init__(self, message: str, modulus_upper: Optional[Fraction] = None):
-        super().__init__(message)
-        self.modulus_upper = modulus_upper
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,24 +194,19 @@ class PcfResult(NamedTuple):
 
 
 @dataclass(frozen=True, slots=True)
-class NumericCycleCertificate:
-    """Interval-certified attracting cycle.
+class AttractingCycleCertificate:
+    """Exact witness of an attracting cycle of f_c.
 
-    ``points`` are approximate cycle points (midpoints of the certified
-    boxes, in orbit order) and ``multiplier_estimate`` is the midpoint of the
-    multiplier box.  ``modulus_upper`` is a rigorous upper bound on the cycle
-    multiplier modulus; the certificate is only issued when it is below 1.
-    All three hold exact dyadic ``Fraction`` values.  ``exact_period`` is
-    True when the boxes are pairwise disjoint, which proves the cycle period
-    is exactly ``period`` rather than a proper divisor of it.
+    Delta_n(lambda, c) takes strictly opposite signs at lambda = lo and
+    lambda = hi, with -1 <= lo < hi <= 1, so some cycle has an f^n-multiplier
+    strictly between them; its modulus is below ``modulus_bound``.
     """
 
     period: int
-    points: tuple
-    multiplier_estimate: Fraction
-    modulus_upper: Fraction
-    exact_period: bool
-    precision: int
+    parameter: Union[Fraction, RealAlgebraic]
+    lo: Fraction
+    hi: Fraction
+    modulus_bound: Fraction
 
 
 @lru_cache(maxsize=None)
@@ -555,198 +529,125 @@ def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerd
     return ParabolicVerdict("not-up-to-bound", nmax)
 
 
-def _precision_bits(precision: int) -> int:
-    # A binary float of d decimal digits has round((d + 1) log2 10) bits of
-    # mantissa, so one bit fewer is its ulp on [1, 2), where the orbit lives.
-    return round((precision + 1) * math.log2(10)) - 1
+def _root_power_sums(monic: list) -> list:
+    """Power sums p_0, ..., p_(m-1) of the roots of a monic polynomial of degree m.
+
+    Newton's identities: p_j + a_(m-1) p_(j-1) + ... + a_(m-j+1) p_1 + j a_(m-j) = 0
+    for the coefficients a_i of z^i, low to high in ``monic``.
+    """
+    m = len(monic) - 1
+    sums = [IntegerPoly.constant(m)]
+    for j in range(1, m):
+        acc = monic[m - j] * j
+        for i in range(1, j):
+            acc = acc + monic[m - i] * sums[j - i]
+        sums.append(-acc)
+    return sums
 
 
-def _scaled_floor(q: Fraction, bits: int) -> int:
-    return (q.numerator << bits) // q.denominator
-
-
-def _enclose_parameter(c: Union[Rat, RealAlgebraic], precision: int, bits: int):
-    if isinstance(c, RealAlgebraic):
-        if c.is_rational:
-            lo = hi = c.to_rational()
-        else:
-            iso = c.refined(Fraction(1, 10 ** (precision + 5))).isolation
-            lo, hi = iso.lo, iso.hi
-    else:
-        lo = hi = Fraction(c)
-    return _scaled_floor(lo, bits), -_scaled_floor(-hi, bits)
-
-
-# A box (lo, hi) of integers stands for the closed interval
-# [lo * 2^-bits, hi * 2^-bits].  A product of two boxes carries 2 * bits
-# fractional bits; dropping bits rounds the lower end down (>> floors) and
-# the upper end up (-((-x) >> bits) is the ceiling), so every result encloses
-# the exact image.
-
-
-def _square_plus(z, c, bits: int):
-    """Outward-rounded enclosure of {x^2 + y : x in z, y in c}."""
-    lo, hi = z
-    if lo >= 0:
-        sq_lo, sq_hi = lo * lo, hi * hi
-    elif hi <= 0:
-        sq_lo, sq_hi = hi * hi, lo * lo
-    else:
-        sq_lo, sq_hi = 0, max(lo * lo, hi * hi)
-    return (sq_lo >> bits) + c[0], -((-sq_hi) >> bits) + c[1]
-
-
-def _mul(x, y, bits: int):
-    """Outward-rounded enclosure of {a * b : a in x, b in y}."""
-    corners = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return min(corners) >> bits, -((-max(corners)) >> bits)
-
-
-def _midpoint(box) -> int:
-    return (box[0] + box[1]) >> 1
-
-
-def _width(box) -> int:
-    return box[1] - box[0]
-
-
-def _pairwise_disjoint(boxes) -> bool:
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if not (boxes[i][1] < boxes[j][0] or boxes[j][1] < boxes[i][0]):
-                return False
-    return True
-
-
-def _cycle_search(c, n, precision, budget):
-    bits = _precision_bits(precision)
-    one = 1 << bits
-    enclosure = _enclose_parameter(c, precision, bits)
-    noise = -(-one // 10 ** (precision - 1))  # 10^(1 - precision), in ulps
-    z = (0, 0)
-    recent = []  # interval orbit points, trimmed to the last n + 1
-    steps = 0
-    stabilized = False
-    while steps < budget:
-        z = _square_plus(z, enclosure, bits)
-        steps += 1
-        recent.append(z)
-        if len(recent) > n + 1:
-            recent.pop(0)
-        mid = _midpoint(z)
-        # No box end falls below the parameter box's lower end, so a bounded
-        # midpoint also bounds the width and the integers stay small.
-        if abs(mid) > 4 * one:
-            raise NoConvergenceError(
-                f"orbit left the bounded region after {steps} steps"
-            )
-        if len(recent) == n + 1:
-            move = abs(mid - _midpoint(recent[0]))
-            scale = max(one, abs(mid))
-            tolerance = 4 * (_width(z) + ((noise * scale) >> bits))
-            if move <= tolerance:
-                stabilized = True
-                break
-    if not stabilized:
-        raise NoConvergenceError(f"orbit did not stabilize within {budget} steps")
-
-    # Polish: keep iterating while the n-step move shrinks, so the seed sits
-    # as close to the true cycle as the working precision allows.
-    best_recent = list(recent)
-    best_move = abs(_midpoint(recent[-1]) - _midpoint(recent[0]))
-    for _ in range(40 * n):
-        z = _square_plus(z, enclosure, bits)
-        recent.append(z)
-        recent.pop(0)
-        move = abs(_midpoint(recent[-1]) - _midpoint(recent[0]))
-        if move < best_move:
-            best_move = move
-            best_recent = list(recent)
-        if move <= _width(z):
-            break
-
-    cycle = best_recent[1:]
-    move = best_move
-    spread = max(_width(box) for box in cycle)
-    scale = max([one] + [abs(_midpoint(box)) for box in cycle])
-    floor = (noise * scale) >> bits  # 10 * 10^(-precision) * scale
-    seed = _midpoint(cycle[0])
-    # Ascending ladder: any containment success is a proof, so small boxes are
-    # tried first and inflated candidates act as fallbacks.
-    ladder = sorted(
-        {floor * 4**k for k in range(5)}
-        | {mult * (move + spread) + floor for mult in _CONTAINMENT_MULTS}
-    )
-    best_failure = None
-    for delta in ladder:
-        if delta > one:
+@lru_cache(maxsize=None)
+def _multiplier_polynomial(n: int) -> IteratedMapPoly:
+    derivative = IteratedMapPoly.constant(2**n) * IteratedMapPoly.z()
+    for k in range(1, n):
+        derivative = derivative * _iterate(k)
+    cycles = sum(moebius(n // d) * 2**d for d in divisors(n)) // n
+    # traces[k]: sum of D^k over the roots of the n-th dynatomic polynomial,
+    # which is n times the k-th power sum of the cycle multipliers
+    traces = [IntegerPoly.zero()] * (cycles + 1)
+    for d in divisors(n):
+        mu = moebius(n // d)
+        if mu == 0:
             continue
-        first = (seed - delta, seed + delta)
-        boxes = [first]
-        current = first
-        for _ in range(n):
-            current = _square_plus(current, enclosure, bits)
-            boxes.append(current)
-        last = boxes.pop()
-        if not (last[0] > first[0] and last[1] < first[1]):
-            continue
-        lam = (one, one)
-        for box in boxes:
-            lam = _mul(lam, (2 * box[0], 2 * box[1]), bits)
-        modulus_upper = Fraction(max(abs(lam[0]), abs(lam[1])), one)
-        if modulus_upper >= 1:
-            if best_failure is None or modulus_upper < best_failure:
-                best_failure = modulus_upper
-            continue
-        return NumericCycleCertificate(
-            period=n,
-            points=tuple(Fraction(lo + hi, 2 * one) for lo, hi in boxes),
-            multiplier_estimate=Fraction(lam[0] + lam[1], 2 * one),
-            modulus_upper=modulus_upper,
-            exact_period=_pairwise_disjoint(boxes),
-            precision=precision,
-        )
-    if best_failure is not None:
-        raise PrecisionInsufficientError(
-            f"multiplier bound {float(best_failure):.8g} does not separate "
-            f"from 1 at precision {precision}",
-            modulus_upper=best_failure,
-        )
-    raise PrecisionInsufficientError(
-        f"no invariant containment box found at precision {precision}"
-    )
+        modulus = list(period_poly(d).coeffs_in_z)
+        root_sums = _root_power_sums(modulus)
+        reduced = IteratedMapPoly(_prem(list(derivative.coeffs_in_z), modulus, _IPOLY_RING))
+        power = IteratedMapPoly.constant(1)
+        for k in range(1, cycles + 1):
+            power = IteratedMapPoly(_prem(list((power * reduced).coeffs_in_z), modulus, _IPOLY_RING))
+            for r, p in zip(power.coeffs_in_z, root_sums):
+                traces[k] = traces[k] + r * p * mu
+    sums = [t.divide_exact(n) for t in traces]
+    # Newton's identities: k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i
+    elementary = [IntegerPoly.one()]
+    for k in range(1, cycles + 1):
+        acc = IntegerPoly.zero()
+        for i in range(1, k + 1):
+            term = elementary[k - i] * sums[i]
+            acc = acc + term if i % 2 else acc - term
+        elementary.append(acc.divide_exact(k))
+    # Delta_n = sum_k (-1)^k e_k lambda^(cycles - k), stored low to high
+    signed = [-e if k % 2 else e for k, e in enumerate(elementary)]
+    return IteratedMapPoly(tuple(reversed(signed)))
 
 
-def find_attracting_cycle_numeric(
-    c: Union[Rat, RealAlgebraic],
-    n: int,
-    precision: int = 64,
-    budget: int = _NUMERIC_BUDGET,
-) -> NumericCycleCertificate:
-    """Search numerically for an attracting cycle of period n and certify it.
+def multiplier_polynomial(n: int) -> IteratedMapPoly:
+    """Return Delta_n(lambda, c) = prod over the n-cycles of f_c of (lambda - lambda_j).
 
-    The critical orbit is iterated in interval arithmetic until n
-    consecutive points stabilize.  The candidate cycle is then inflated into
-    boxes B_0, ..., B_{n-1}; containment of the n-step interval image
-    strictly inside B_0 proves a cycle exists in the boxes, and the interval
-    product of 2 z over them bounds its multiplier.  Success requires the
-    upper bound to be strictly below 1.
+    The result is monic in lambda over Z[c], stored as an IteratedMapPoly
+    whose variable is lambda; lambda_j = (f^n)'(z) at any point z of the
+    j-th cycle (Milnor, "Geometry and dynamics of quadratic rational maps",
+    Exp. Math. 2, 1993).  With D = (f^n)'(z) = 2^n z f(z) ... f^(n-1)(z),
+    the trace of D^k modulo the monic f^d(z) - z is the sum of D^k over its
+    roots: reduce D^k (remainder by a monic divisor), then pair the
+    coefficients with the Newton power sums of the roots.  The roots of
+    f^n(z) - z are those of the dynatomic polynomials Phi_d, d | n, so the
+    Moebius combination over d | n gives the sum over the roots of Phi_n,
+    n times the k-th power sum of the lambda_j; Newton's identities then
+    give the coefficients.  Every division is exact in Z[c].  The
+    construction specialises at every c: Delta_n(lambda, c)^n equals
+    res_z(Phi_n, lambda - D), the product of lambda - D(z) over the roots z
+    of Phi_n at that c.  Cached per n; capped by DISCRIMINANT_CAP.
 
-    ``precision`` is in decimal digits.  The intervals have integer ends
-    scaled by 2^-bits with bits = round((precision + 1) log2 10) - 1, so
-    2^-bits is the ulp a binary float of that many digits has on [1, 2).
-    Certificate fields are exact dyadic fractions.  The parameter
-    box is the floor and ceiling, at that scale, of an isolating interval
-    of c narrowed below 10^-(precision + 5).  Squares take the sign of the
-    box into account, products take the extremes of the four corner
-    products, and every rounding is outward, so each box encloses the exact
-    image.  The result is deterministic for a fixed precision and budget and
-    touches no global state.
+    >>> multiplier_polynomial(2).coeffs_in_z  # lambda - 4c - 4
+    (IntegerPoly(coeffs=(-4, -4)), IntegerPoly(coeffs=(1,)))
     """
     if n < 1:
         raise ValueError("period must be at least 1")
-    if n > NUMERIC_PERIOD_CAP:
-        raise CapExceededError(f"numeric period cap is {NUMERIC_PERIOD_CAP}, got {n}")
-    if precision < 2:
-        raise ValueError("precision must be at least 2 digits")
-    return _cycle_search(c, n, precision, budget)
+    if n > DISCRIMINANT_CAP:
+        raise CapExceededError(f"discriminant cap is {DISCRIMINANT_CAP}, got n={n}")
+    return _multiplier_polynomial(n)
+
+
+def _at_multiplier(delta: IteratedMapPoly, x: Fraction) -> IntegerPoly:
+    # q^N Delta(p/q, c) for x = p/q and N = deg Delta: an integer polynomial
+    # in c with the sign of Delta(x, c)
+    p, q = x.numerator, x.denominator
+    top = delta.degree_in_z
+    out = IntegerPoly.zero()
+    for i, coeff in enumerate(delta.coeffs_in_z):
+        out = out + coeff * (p**i * q ** (top - i))
+    return out
+
+
+def certify_attracting_cycle(
+    c: Union[Rat, RealAlgebraic], n: int, a: Rat, b: Rat
+) -> AttractingCycleCertificate:
+    """Prove that f_c has an attracting cycle by a sign change of Delta_n(., c).
+
+    Requires -1 <= a < b <= 1 and strictly opposite signs of Delta_n(a, c)
+    and Delta_n(b, c), taken exactly (``algebraic.sign_at`` at an
+    irrational c, ``IntegerPoly.sign_at`` at a rational one); otherwise
+    MultiplierMismatchError.  The real polynomial Delta_n(., c) then has a
+    root lambda in (a, b).  Since Delta_n(lambda, c)^n is the product of
+    lambda - (f^n)'(z) over the roots z of Phi_n, lambda = (f^n)'(z) at a
+    point with f^n(z) = z; its cycle has some period p | n and a multiplier
+    mu with mu^(n/p) = lambda, so |mu| < 1 and the cycle attracts.  By
+    Fatou's theorem it attracts the one critical point of f_c, so f_c has
+    no parabolic cycle.  ``modulus_bound`` is max(|a|, |b|), above |lambda|.
+    """
+    a, b = Fraction(a), Fraction(b)
+    if not -1 <= a < b <= 1:
+        raise ValueError(f"multiplier interval ({a}, {b}) must satisfy -1 <= a < b <= 1")
+    delta = multiplier_polynomial(n)
+    if isinstance(c, RealAlgebraic):
+        signs = [sign_at(_at_multiplier(delta, x), c) for x in (a, b)]
+    else:
+        c = Fraction(c)
+        signs = [_at_multiplier(delta, x).sign_at(c) for x in (a, b)]
+    if signs[0] * signs[1] != -1:
+        raise MultiplierMismatchError(
+            f"Delta_{n}(lambda, {c}) does not change sign on ({a}, {b})"
+        )
+    return AttractingCycleCertificate(
+        period=n, parameter=c, lo=a, hi=b, modulus_bound=max(abs(a), abs(b))
+    )

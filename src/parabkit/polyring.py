@@ -338,12 +338,6 @@ class IntegerPoly:
     def derivative(self) -> "IntegerPoly":
         return IntegerPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def compose(self, other: "IntegerPoly") -> "IntegerPoly":
-        acc = IntegerPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * other + IntegerPoly.constant(c)
-        return acc
-
     def content(self) -> int:
         """gcd of all coefficients, signed to match the leading coefficient."""
         if self.is_zero:
@@ -522,15 +516,17 @@ def _ring_pow(x, n: int, ring: _Ring):
 
 
 def _prem(f: list, g: list, ring: _Ring) -> list:
-    # Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f == q*g + result.
+    # Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f == q*g + result; the
+    # plain remainder when g is monic, which skips every scaling by lc(g).
     dg = len(g) - 1
     d = g[-1]
+    monic = d == ring.one
     r = list(f)
     e = len(f) - len(g) + 1
     while r and len(r) - 1 >= dg:
         s = r[-1]
         shift = len(r) - 1 - dg
-        new = [d * ri for ri in r]
+        new = list(r) if monic else [d * ri for ri in r]
         for i, gi in enumerate(g):
             new[shift + i] = new[shift + i] - s * gi
         new.pop()
@@ -538,7 +534,7 @@ def _prem(f: list, g: list, ring: _Ring) -> list:
             new.pop()
         r = new
         e -= 1
-    for _ in range(e):
+    for _ in range(0 if monic else e):
         r = [d * ri for ri in r]
     return r
 
@@ -713,13 +709,6 @@ class IteratedMapPoly:
 
     def derivative_z(self) -> "IteratedMapPoly":
         return IteratedMapPoly(tuple(c * i for i, c in enumerate(self.coeffs_in_z) if i))
-
-    def compose(self, other: "IteratedMapPoly") -> "IteratedMapPoly":
-        """Substitute other for z: return self(other(z))."""
-        acc = IteratedMapPoly.zero()
-        for c in reversed(self.coeffs_in_z):
-            acc = acc * other + IteratedMapPoly((c,))
-        return acc
 
     def evaluate_at_c(self, value: Rat) -> RationalPoly:
         """Specialize the parameter c to an exact rational."""

@@ -10,6 +10,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from parabkit import cyclotomic as _cyclotomic
@@ -17,11 +19,10 @@ from parabkit import dynamics as _dynamics
 from parabkit import polyring as _polyring
 from parabkit.cyclotomic import admissible_orders
 from parabkit.dynamics import (
-    NoConvergenceError,
-    PrecisionInsufficientError,
+    MultiplierMismatchError,
+    certify_attracting_cycle,
     cycle_multiplier,
     discriminant_Pn,
-    find_attracting_cycle_numeric,
     is_parabolic_up_to,
     parity_certificate,
     verify_cycle,
@@ -127,11 +128,11 @@ def test_criterion_5_prop1(capfd):
 def test_criterion_6_prop2(capfd):
     notes = []
     with criterion(
-        capfd, 6, "prop2_pipeline(5, 64) returns exactly {1/4, -3/4, -5/4, -7/4}", notes
+        capfd, 6, "prop2_pipeline(5) returns exactly {1/4, -3/4, -5/4, -7/4}", notes
     ):
         _clear_caches()
         start = time.monotonic()
-        report = prop2_pipeline(5, 64)
+        report = prop2_pipeline(5)
         elapsed = time.monotonic() - start
         assert report.parameters == (F(-7, 4), F(-5, 4), F(-3, 4), F(1, 4))
         eliminations = {
@@ -161,13 +162,29 @@ def test_criterion_7_property_suites(capfd):
         helpers.check_parser_roundtrip(cases=60)
 
 
+_multiplier_ends = st.fractions(min_value=-1, max_value=1, max_denominator=50)
+
+
+@given(_multiplier_ends, _multiplier_ends)
+@example(F(-1), F(1))
+@example(F(0), F(1))
+@example(F(1, 2), F(1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def _refuses_the_parabolic_three_cycle(a, b):
+    # Delta_3(lambda, -7/4) = (lambda - 1)^2 never changes sign, and
+    # lambda = 1 is a double root: no interval inside [-1, 1] certifies
+    if a == b:
+        return
+    with pytest.raises(MultiplierMismatchError):
+        certify_attracting_cycle(F(-7, 4), 3, min(a, b), max(a, b))
+
+
 def test_criterion_8_negative_controls(capfd):
     with criterion(capfd, 8, "negative controls refuse to certify"):
         verdict = is_parabolic_up_to(F(-3, 2), 5)
         assert str(verdict) == "NotUpToBound(5)"
         assert verdict.is_parabolic is False
-        with pytest.raises((NoConvergenceError, PrecisionInsufficientError)):
-            find_attracting_cycle_numeric(F(-7, 4), 3, precision=64, budget=20000)
+        _refuses_the_parabolic_three_cycle()
         report = prop1_pipeline(threshold=1, order_cap=8)
         rejected = [
             c

@@ -26,8 +26,7 @@ from parabkit.classify import (
     report_to_json,
 )
 from parabkit.classify import _prop2_candidates
-from parabkit.algebraic import NotIsolatingError, RealAlgebraic, from_rational, make_real_algebraic
-from parabkit.dynamics import PrecisionInsufficientError
+from parabkit.algebraic import NotIsolatingError, from_rational, make_real_algebraic
 from parabkit.polyring import (
     IntegerPoly,
     ParseError,
@@ -55,7 +54,7 @@ def test_prop1_canonical():
     assert all(c.verdict == "confirmed" for c in report.certificates)
     for cert in report.certificates:
         assert "PostcriticallyFinite" in cert.reason
-    assert report.environment.nmax == 0 and report.environment.precision == 0
+    assert report.environment.nmax == 0
 
 
 def test_prop1_diagnostic_threshold_one():
@@ -95,14 +94,13 @@ def test_prop1_is_deterministic():
 
 @pytest.fixture(scope="module")
 def prop2_report():
-    return prop2_pipeline(5, 64)
+    return prop2_pipeline(5)
 
 
 def test_prop2_canonical_parameters(prop2_report):
     assert prop2_report.proposition == "prop2"
     assert prop2_report.parameters == (F(-7, 4), F(-5, 4), F(-3, 4), F(1, 4))
     assert prop2_report.environment.nmax == 5
-    assert prop2_report.environment.precision == 64
     assert prop2_report.environment.runtime_ms >= 0
 
 
@@ -132,9 +130,8 @@ def test_prop2_elimination_details(prop2_report):
     assert "odd" in parity.reason
     attracting = by_reason["AttractingCycle"]
     assert not attracting.candidate.is_rational
-    assert attracting.modulus_bound is not None
-    assert attracting.modulus_bound < 1
-    assert "period 4" in attracting.reason
+    assert attracting.modulus_bound == F(3, 5)
+    assert attracting.reason.startswith("AttractingCycle(period 4")
     galois = by_reason["GaloisConjugateEliminated"]
     assert not galois.candidate.is_rational
     assert str(attracting.candidate) in galois.reason
@@ -154,35 +151,18 @@ def test_prop2_modulus_bound_is_an_upper_bound(prop2_report):
     assert bound < 1
 
 
-def test_prop2_enclosure_matches_the_fraction_bisection(prop2_report, monkeypatch):
+def test_prop2_enclosure_matches_the_fraction_bisection():
     # The integer bisection kernel reproduces the Fraction-midpoint loop
-    # endpoint for endpoint: the width-10^-69 enclosure of (-13 + sqrt5)/8
-    # that the cycle search starts from, and so the exact modulus_bound.
+    # endpoint for endpoint on a width-10^-69 enclosure of (-13 + sqrt5)/8.
     golden_high = [c for c in _prop2_candidates() if not c.is_rational][1]
     width = F(1, 10**69)
     expected = helpers.fraction_refined(golden_high.minpoly, golden_high.isolation, width)
     assert golden_high.refined(width).isolation == expected
 
-    def fraction_refined(self, max_width):
-        return RealAlgebraic(self.minpoly, helpers.fraction_refined(self.minpoly, self.isolation, max_width))
-
-    monkeypatch.setattr(RealAlgebraic, "refined", fraction_refined)
-    oracle_report = prop2_pipeline(5, 64)
-    bounds = [
-        [c.modulus_bound for c in report.certificates if c.modulus_bound is not None]
-        for report in (prop2_report, oracle_report)
-    ]
-    assert bounds[0] == bounds[1] and len(bounds[0]) == 1
-
 
 def test_prop2_nmax_too_small_is_a_mismatch():
     with pytest.raises(PipelineMismatchError):
-        prop2_pipeline(1, 64)
-
-
-def test_prop2_precision_too_small_propagates():
-    with pytest.raises(PrecisionInsufficientError):
-        prop2_pipeline(5, 3)
+        prop2_pipeline(1)
 
 
 # --- reports ---
@@ -200,7 +180,8 @@ def test_report_json_shape(prop2_report):
     withbound = [e for e in payload["certificates"] if "modulus_bound" in e]
     assert len(withbound) == 1
     env = payload["environment"]
-    assert env["nmax"] == 5 and env["precision"] == 64 and env["runtime_ms"] >= 0
+    assert list(env) == ["nmax", "runtime_ms"]
+    assert env["nmax"] == 5 and env["runtime_ms"] >= 0
 
 
 def test_report_json_roundtrip(prop2_report):
@@ -212,7 +193,7 @@ def test_report_json_roundtrip(prop2_report):
 
 
 def test_report_json_deterministic(prop2_report):
-    again = prop2_pipeline(5, 64)
+    again = prop2_pipeline(5)
     a = json.loads(report_to_json(prop2_report))
     b = json.loads(report_to_json(again))
     a["environment"]["runtime_ms"] = b["environment"]["runtime_ms"] = 0
@@ -316,6 +297,14 @@ def test_cli_calls_share_no_state():
         assert run_cli("verify", "prop1", "--quiet") == (0, "")
 
 
+def test_readme_quick_tour():
+    import doctest
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    failures, attempted = doctest.testfile(readme, module_relative=False)
+    assert attempted > 0 and failures == 0
+
+
 def test_import_does_not_load_mpmath():
     import parabkit
 
@@ -406,6 +395,13 @@ def test_cli_usage_errors():
     assert run_cli("kronecker", "--poly", "5")[0] == 2  # constant polynomial
     assert run_cli("totally-real", "--poly", "5")[0] == 2
     assert run_cli("classify", "--c", "(x^2-2)^2@[1,2]")[0] == 2  # repeated root
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli("verify", "prop2", "--precision", "64")[0] == 2  # no such option
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli("multiplier", "--c", "1/0", "--period", "1", "--cycle-poly", "2x-1")
+    assert code == 2
+    assert err.getvalue().startswith("error: not a rational parameter: '1/0'")
 
 
 def test_cli_negative_values_after_space():
@@ -540,8 +536,6 @@ _verify_and_pn_argvs = st.one_of(
         st.sampled_from(("prop1", "prop2")),
         st.just("--nmax"),
         st.integers(min_value=-1, max_value=7).map(str),
-        st.just("--precision"),
-        st.integers(min_value=-1, max_value=80).map(str),
     ),
     st.builds(
         lambda n, parity: ("pn", "--n", str(n)) + (("--check-parity",) if parity else ()),
@@ -554,9 +548,8 @@ _verify_and_pn_argvs = st.one_of(
 @given(argv=_verify_and_pn_argvs, as_json=st.booleans())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_cli_exit_codes_on_fuzzed_verify_and_pn(argv, as_json):
-    # nmax and n below, inside and above the caps, precisions too small to
-    # certify and negative ones: an exit code and a one-line message, never
-    # an exception
+    # nmax and n below, inside and above the caps: an exit code and a
+    # one-line message, never an exception
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code, _ = run_cli(*argv, *(("--json",) if as_json else ()))

@@ -1,4 +1,4 @@
-"""Iterates, discriminant polynomials, cycles, orbits, and numeric certificates."""
+"""Iterates, discriminant polynomials, cycles, orbits, and multiplier certificates."""
 
 import random
 from fractions import Fraction as F
@@ -11,26 +11,21 @@ from hypothesis import strategies as st
 import helpers
 from parabkit import dynamics
 from parabkit.dynamics import (
-    _enclose_parameter,
-    _mul,
-    _precision_bits,
-    _square_plus,
     CapExceededError,
     DegreeMismatchError,
     MultiplierMismatchError,
-    NoConvergenceError,
     NotAFactorError,
-    PrecisionInsufficientError,
     RealBehavior,
     UnresolvedError,
+    certify_attracting_cycle,
     cycle_multiplier,
     discriminant_Pn,
     dynatomic_poly,
     escapes,
-    find_attracting_cycle_numeric,
     is_parabolic_up_to,
     is_pcf_rational,
     iterate_map,
+    multiplier_polynomial,
     parity_certificate,
     period_poly,
     point_discriminant,
@@ -40,11 +35,13 @@ from parabkit.dynamics import (
 from parabkit.algebraic import make_real_algebraic
 from parabkit.polyring import (
     IntegerPoly,
+    RationalPoly,
     content_and_primitive,
     discriminant,
     format_poly,
     isolate_real_roots,
     parse_poly,
+    resultant,
     squarefree_part,
 )
 
@@ -349,19 +346,63 @@ def test_is_parabolic_up_to_algebraic_and_cap():
         is_parabolic_up_to(F(1, 4), 6)
 
 
-def _mpf(q):
-    # Certificate fields are exact dyadic fractions; the division rounds at
-    # the working precision of the surrounding mpmath context.
-    return mpmath.mpf(q.numerator) / q.denominator
+def _in_c(*texts):
+    # coefficients in c of a polynomial in lambda, low to high in lambda
+    return tuple(IntegerPoly(tuple(int(k) for k in parse_poly(t, var="c").coeffs)) for t in texts)
+
+
+def test_multiplier_polynomial_closed_forms():
+    assert multiplier_polynomial(1).coeffs_in_z == _in_c("4c", "-2", "1")
+    assert multiplier_polynomial(2).coeffs_in_z == _in_c("-4(c+1)", "1")
+    assert multiplier_polynomial(3).coeffs_in_z == _in_c("64(c^3+2c^2+c+1)", "-(8c+16)", "1")
+    assert multiplier_polynomial(4).coeffs_in_z == _in_c(
+        "-4096(c^6+3c^5+3c^4+3c^3+2c^2+1)",
+        "-(256c^4+256c^3-256c^2-768)",
+        "16c^2-48",
+        "1",
+    )
+    # (lambda - 1)^2 at -7/4, where the two 3-cycles collide
+    assert multiplier_polynomial(3).evaluate_at_c(F(-7, 4)) == parse_poly("(x-1)^2")
+    # one factor per n-cycle: (sum over d | n of mu(n/d) 2^d) / n
+    for n, cycles in zip(range(1, 6), (2, 1, 2, 3, 6)):
+        delta = multiplier_polynomial(n)
+        assert delta.degree_in_z == cycles and delta.leading_in_z == IntegerPoly.one()
+
+
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    c=st.fractions(min_value=-2, max_value=F(1, 4), max_denominator=6),
+    a=st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_multiplier_polynomial_against_prs(n, c, a):
+    # res_z(Phi_n, a - (f^n)'(z)) = Delta_n(a, c)^n, by the subresultant PRS
+    # over Q at a rational point
+    derivative = iterate_map(n).evaluate_at_c(c).derivative()
+    res = resultant(dynatomic_poly(n, c), RationalPoly.constant(a) - derivative)
+    assert res == multiplier_polynomial(n).evaluate_at_c(c).evaluate(a) ** n
+
+
+def test_multiplier_polynomial_norm_at_the_quadratic_pair():
+    # the norm of Delta_4 from Q(sqrt5) is 2^24 times the sextic whose root
+    # in (-1, 0) is the multiplier of the attracting 4-cycle
+    sextic = IntegerPoly((1135061, 1930947, 69670, 10807, 922, -9, 1))
+    delta = multiplier_polynomial(4)
+    for t in range(-8, 9):
+        at_t = sum((k * t**i for i, k in enumerate(delta.coeffs_in_z)), IntegerPoly.zero())
+        assert resultant(IntegerPoly((41, 52, 16)), at_t) == 2**24 * sextic.evaluate(t), t
+
+
+def test_multiplier_polynomial_guards():
+    with pytest.raises(ValueError):
+        multiplier_polynomial(0)
+    with pytest.raises(CapExceededError):
+        multiplier_polynomial(6)
 
 
 def test_numeric_certificate_period_four():
-    cert = find_attracting_cycle_numeric(_candidate_high(), 4, precision=64)
-    assert cert.period == 4
-    assert cert.exact_period
-    assert cert.precision == 64
-    assert cert.modulus_upper < 1
-    assert len(cert.points) == 4
+    cert = certify_attracting_cycle(_candidate_high(), 4, F(-3, 5), F(-1, 2))
+    assert (cert.period, cert.lo, cert.hi, cert.modulus_bound) == (4, F(-3, 5), F(-1, 2), F(3, 5))
     # independent high-precision orbit oracle for the multiplier
     with mpmath.workdps(120):
         c = (-13 + mpmath.sqrt(5)) / 8
@@ -372,88 +413,62 @@ def test_numeric_certificate_period_four():
         for _ in range(4):
             lam *= 2 * z
             z = z * z + c
-        assert abs(lam - _mpf(cert.multiplier_estimate)) < mpmath.mpf("1e-9")
-        assert abs(lam) <= _mpf(cert.modulus_upper)
-
-
-def test_numeric_certificate_low_precision_threshold():
-    cert = find_attracting_cycle_numeric(_candidate_high(), 4, precision=4)
-    assert cert.modulus_upper < 1
-    with pytest.raises((PrecisionInsufficientError, NoConvergenceError)):
-        find_attracting_cycle_numeric(_candidate_high(), 4, precision=3)
+        assert mpmath.mpf(-3) / 5 < lam < mpmath.mpf(-1) / 2
+    # the conjugate has no multiplier in [-1, 1]
+    low = make_real_algebraic(IntegerPoly((41, 52, 16)), isolate_real_roots(IntegerPoly((41, 52, 16)))[0])
+    with pytest.raises(MultiplierMismatchError):
+        certify_attracting_cycle(low, 4, -1, 1)
 
 
 def test_numeric_certificate_superattracting():
-    cert = find_attracting_cycle_numeric(F(-1), 2, precision=64)
-    assert cert.exact_period
-    assert _mpf(cert.modulus_upper) < mpmath.mpf(10) ** -50
-    assert abs(_mpf(cert.multiplier_estimate)) < mpmath.mpf(10) ** -50
+    # Delta_2(lambda, -1) = lambda: the 2-cycle {0, -1} has multiplier 0
+    eps = F(1, 10**50)
+    cert = certify_attracting_cycle(F(-1), 2, -eps, eps)
+    assert cert.modulus_bound == eps
+    with pytest.raises(MultiplierMismatchError):
+        certify_attracting_cycle(F(-1), 2, eps, 2 * eps)
 
 
 def test_numeric_certificate_rejects_parabolic_cycle():
-    with pytest.raises((NoConvergenceError, PrecisionInsufficientError)):
-        find_attracting_cycle_numeric(F(-7, 4), 3, precision=64, budget=20000)
-
-
-def test_numeric_certificate_divisor_period():
-    cert = find_attracting_cycle_numeric(F(-1), 4, precision=32)
-    assert cert.exact_period is False
+    for a, b in ((-1, 1), (0, 1), (F(1, 2), 1), (-1, F(99, 100))):
+        with pytest.raises(MultiplierMismatchError):
+            certify_attracting_cycle(F(-7, 4), 3, a, b)
 
 
 def test_numeric_certificate_fixed_point():
-    cert = find_attracting_cycle_numeric(F(1, 8), 1, precision=32)
-    assert cert.exact_period and cert.modulus_upper < 1
-    # fixed-point multiplier at c = 1/8 is 1 - sqrt(1/2)
-    assert abs(_mpf(cert.multiplier_estimate) - (1 - mpmath.sqrt(0.5))) < 1e-6
+    # the fixed-point multipliers at c = 1/8 are 1 -+ sqrt(1/2)
+    cert = certify_attracting_cycle(F(1, 8), 1, F(1, 4), F(1, 3))
+    assert cert.modulus_bound == F(1, 3)
+    assert (1 - F(1, 3)) ** 2 < F(1, 2) < (1 - F(1, 4)) ** 2  # so 1/4 < 1 - sqrt(1/2) < 1/3
+    with pytest.raises(MultiplierMismatchError):
+        certify_attracting_cycle(F(1, 8), 1, F(1, 3), 1)
 
 
-@st.composite
-def _box_and_point(draw, bits):
-    """An integer box at scale 2^-bits and an exact rational inside it."""
-    lo = draw(st.integers(-(4 << bits), 4 << bits))
-    hi = lo + draw(st.integers(0, 2 << bits))
-    den = draw(st.integers(1, 1000))
-    t = draw(st.integers(0, den))  # the point sits a fraction t/den along the box
-    return (lo, hi), F(lo * den + (hi - lo) * t, den << bits)
-
-
-def _inside(box, bits, value):
-    return F(box[0], 1 << bits) <= value <= F(box[1], 1 << bits)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data(), st.integers(0, 80))
-def test_interval_kernel_encloses_exact_values(data, bits):
-    (z, x), (c, y) = data.draw(_box_and_point(bits)), data.draw(_box_and_point(bits))
-    assert _inside(_square_plus(z, c, bits), bits, x * x + y)
-    assert _inside(_mul(z, c, bits), bits, x * y)
-
-
-def test_parameter_enclosure_contains_parameter():
-    for c in (F(-7, 4), F(1, 3), F(-1, 3), -1, _candidate_high()):
-        for precision in (2, 20, 64):
-            bits = _precision_bits(precision)
-            assert bits == mpmath.libmp.dps_to_prec(precision) - 1
-            lo, hi = _enclose_parameter(c, precision, bits)
-            assert F(lo, 1 << bits) <= c <= F(hi, 1 << bits)
-            assert hi - lo <= 2
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.fractions(min_value=F(-6, 5), max_value=F(-4, 5), max_denominator=10**6))
-def test_numeric_two_cycle_bound_covers_exact_multiplier(c):
-    # For -5/4 < c < -3/4 the 2-cycle has the exact multiplier 4(c + 1).
-    cert = find_attracting_cycle_numeric(c, 2, precision=20)
-    assert abs(4 * (c + 1)) <= cert.modulus_upper < 1
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.fractions(min_value=F(-6, 5), max_value=F(-4, 5), max_denominator=10**6),
+    st.fractions(min_value=F(1, 10**6), max_value=F(1, 5), max_denominator=10**6),
+    st.fractions(min_value=F(1, 10**6), max_value=F(1, 5), max_denominator=10**6),
+)
+def test_numeric_two_cycle_bound_covers_exact_multiplier(c, below, above):
+    # For -5/4 < c < -3/4 the 2-cycle has the exact multiplier 4(c + 1),
+    # inside (-4/5, 4/5) here: an interval around it certifies, one beside
+    # it does not.
+    lam = 4 * (c + 1)
+    cert = certify_attracting_cycle(c, 2, lam - below, lam + above)
+    assert abs(lam) < cert.modulus_bound < 1
+    with pytest.raises(MultiplierMismatchError):
+        certify_attracting_cycle(c, 2, lam + above, min(lam + 2 * above, 1))
 
 
 def test_numeric_certificate_guards():
     with pytest.raises(CapExceededError):
-        find_attracting_cycle_numeric(F(-1), 9)
+        certify_attracting_cycle(F(-1), 6, -1, 1)
     with pytest.raises(ValueError):
-        find_attracting_cycle_numeric(F(-1), 0)
-    with pytest.raises(ValueError):
-        find_attracting_cycle_numeric(F(-1), 2, precision=0)
+        certify_attracting_cycle(F(-1), 0, -1, 1)
+    for a, b in ((F(-11, 10), 0), (0, F(11, 10)), (F(1, 2), F(1, 2)), (F(1, 2), 0)):
+        with pytest.raises(ValueError):
+            certify_attracting_cycle(F(-1), 2, a, b)
 
 
 def test_doctests():
