@@ -1,15 +1,16 @@
 """parabkit: exact classification toolkit for the quadratic family z^2 + c.
 
 The package is organized in layers.  ``polyring`` provides exact polynomial
-arithmetic (rational and integer coefficients, resultants via subresultants,
-Sturm counting, root isolation, a small expression grammar).  ``cyclotomic``
-adds cyclotomic and trace polynomials with a Kronecker-style root-of-unity
-test.  ``algebraic`` wraps isolated real algebraic numbers with exact
-comparison and sign evaluation.  ``dynamics`` studies iteration of
-f_c(z) = z^2 + c: discriminant polynomials P_n and their values at rational
-parameters, cycle certificates, orbit tests, and multiplier polynomials
-that certify attracting cycles exactly.  ``classify`` assembles the
-classification pipelines and the ``parabkit`` command-line tool.
+arithmetic (integer polynomials, resultants via subresultants, Sturm
+counting, root isolation, a small expression grammar whose rational output
+is converted to integers once).  ``cyclotomic`` adds cyclotomic and trace
+polynomials with a Kronecker-style root-of-unity test.  ``algebraic`` wraps
+isolated real algebraic numbers with exact comparison and sign evaluation.
+``dynamics`` studies iteration of f_c(z) = z^2 + c: discriminant polynomials
+P_n and their values at rational parameters, cycle certificates, orbit
+tests, and multiplier polynomials that certify attracting cycles exactly.
+``classify`` assembles the classification pipelines and the ``parabkit``
+command-line tool.
 """
 
 from .polyring import (

@@ -21,13 +21,11 @@ from .polyring import (
     ParabkitError,
     Rat,
     RationalInterval,
-    RationalPoly,
     _Bisection,
     _int_gcd,
-    _squarefree_int_model,
     cauchy_bound,
-    content_and_primitive,
     format_poly,
+    squarefree_part,
     sturm_count,
 )
 
@@ -63,7 +61,7 @@ _REFINE_CAP = 4096
 def _ensure_squarefree(p: IntegerPoly) -> None:
     if p.is_zero:
         raise NotSquarefreeError("the zero polynomial is not squarefree")
-    if _squarefree_int_model(p.coeffs).degree != p.degree:
+    if squarefree_part(p).degree != p.degree:
         raise NotSquarefreeError(f"{p} has a repeated root")
 
 
@@ -208,13 +206,12 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
     decided exactly, in integers.
 
     Otherwise the stored polynomial is the primitive part with positive
-    leading coefficient and the interval is refined to width at most 1.
+    leading coefficient, and the isolation is clamped to the Cauchy bound
+    (-B, B), which holds every real root, then refined to width at most 1.
     Irreducibility of p is a caller-supplied precondition (there is no
     factorization engine here); every polynomial the pipelines construct
     has degree at most 2, where squarefree plus no rational root settles it.
     """
-    if isinstance(p, RationalPoly):
-        _, p = content_and_primitive(p)
     if p.is_zero:
         raise NotSquarefreeError("the zero polynomial isolates nothing")
     _ensure_squarefree(p)
@@ -227,7 +224,9 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
             return from_rational(endpoint)
     if p.degree == 1:
         return from_rational(Fraction(-p.coeff(0), p.coeff(1)))
-    value = RealAlgebraic(p, RationalInterval(interval.lo, interval.hi, True, True)).refined(1)
+    bound = cauchy_bound(p)
+    clamped = RationalInterval(max(interval.lo, -bound), min(interval.hi, bound), True, True)
+    value = RealAlgebraic(p, clamped).refined(1)
     lead = p.leading
     fine = _Bisection(p, value.isolation.lo, value.isolation.hi)
     fine.halve(fine.halvings_to(Fraction(1, lead)))

@@ -37,7 +37,9 @@ from .algebraic import (
     is_totally_real,
     make_real_algebraic,
 )
-from .cyclotomic import admissible_orders, is_cyclotomic_product, trace_polynomial
+from .cyclotomic import (
+    ADMISSIBLE_SCAN_CAP, admissible_orders, is_cyclotomic_product, trace_polynomial,
+)
 from .dynamics import (
     DISCRIMINANT_CAP,
     ESCAPES_TO_INFINITY,
@@ -150,7 +152,7 @@ _PROP2_ATTRACTING = (4, Fraction(-3, 5), Fraction(-1, 2))
 
 
 def prop1_pipeline(
-    threshold: Rat = Fraction(0), strict: bool = False, order_cap: int = 64
+    threshold: Rat = Fraction(0), strict: bool = False, order_cap: int = ADMISSIBLE_SCAN_CAP
 ) -> ClassificationReport:
     """Classify totally real postcritically finite parameters.
 
@@ -455,11 +457,21 @@ def report_from_json(text: str) -> ClassificationReport:
     )
 
 
+def _printable(value: Fraction, text: str) -> Fraction:
+    # a rational with more digits than str() converts could never be reported
+    try:
+        str(value)
+    except ValueError:
+        raise ParseError(f"rational {text!r} has too many digits", 0) from None
+    return value
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational parameter: {text!r}", 0) from exc
+    return _printable(value, text)
 
 
 def parse_parameter(text: str) -> RealAlgebraic:
@@ -478,6 +490,8 @@ def parse_parameter(text: str) -> RealAlgebraic:
         lo, hi = Fraction(lo_text.strip()), Fraction(hi_text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad interval endpoint in {text!r}", 0) from exc
+    _printable(lo, lo_text.strip())
+    _printable(hi, hi_text.strip())
     _, prim = content_and_primitive(parse_poly(poly_text))
     return make_real_algebraic(prim, RationalInterval(lo, hi))
 
@@ -506,9 +520,8 @@ def _run_verify(args) -> int:
         report = prop1_pipeline()
     else:
         report = prop2_pipeline(nmax=args.nmax)
-    if getattr(args, "json", False):
-        if not args.quiet:
-            print(report_to_json(report))
+    if args.json:
+        _emit(args, report_to_json(report))
         return 0
     _emit(args, f"{args.proposition}: parameters {{{', '.join(str(p) for p in report.parameters)}}}")
     for cert in report.certificates:
@@ -522,8 +535,8 @@ def _run_verify(args) -> int:
 def _run_pn(args) -> int:
     pn = discriminant_Pn(args.n)
     parity = parity_certificate(args.n) if args.check_parity else None
-    if getattr(args, "json", False):
-        payload = {"n": args.n, "pn": format_poly(pn.to_rational(), "b")}
+    if args.json:
+        payload = {"n": args.n, "pn": format_poly(pn, "b")}
         if parity is not None:
             payload["parity"] = {
                 "value_at_0_mod2": parity.value_at_0_mod2,
@@ -532,7 +545,7 @@ def _run_pn(args) -> int:
             }
         _emit_json(args, payload)
     else:
-        _emit(args, format_poly(pn.to_rational(), "b"))
+        _emit(args, format_poly(pn, "b"))
         if parity is not None:
             _emit(
                 args,
@@ -548,7 +561,7 @@ def _run_pn(args) -> int:
 def _run_kronecker(args) -> int:
     _, prim = content_and_primitive(parse_poly(args.poly))
     witness = is_cyclotomic_product(prim)
-    if getattr(args, "json", False):
+    if args.json:
         _emit_json(args, {"is_product": witness.is_product, "orders": list(witness.orders)})
     elif witness.is_product:
         orders = ", ".join(str(n) for n in witness.orders)
@@ -567,13 +580,13 @@ def _run_classify(args) -> int:
         behavior = RealBehavior(ESCAPES_TO_INFINITY)
     else:
         verdict = is_parabolic_up_to(parameter, DISCRIMINANT_CAP)
-        if getattr(args, "json", False):
+        if args.json:
             _emit_json(args, {"c": str(parameter), "parabolic": str(verdict)})
         else:
             _emit(args, f"{parameter}: {verdict}")
         return 0
     detail = f" {behavior.detail}" if behavior.detail else ""
-    if getattr(args, "json", False):
+    if args.json:
         _emit_json(args, {"c": str(parameter), "tag": behavior.tag, "detail": list(behavior.detail)})
     else:
         _emit(args, f"{parameter}: {behavior.tag}{detail}")
@@ -585,7 +598,7 @@ def _run_multiplier(args) -> int:
     _, g = content_and_primitive(parse_poly(args.cycle_poly))
     lam = cycle_multiplier(g, args.period)
     verify_cycle(c, g, args.period, lam)
-    if getattr(args, "json", False):
+    if args.json:
         _emit_json(args, {"c": str(c), "period": args.period, "multiplier": str(lam)})
     else:
         _emit(args, f"multiplier {lam}")
@@ -595,7 +608,7 @@ def _run_multiplier(args) -> int:
 def _run_totally_real(args) -> int:
     _, prim = content_and_primitive(parse_poly(args.poly))
     answer = is_totally_real(prim)
-    if getattr(args, "json", False):
+    if args.json:
         _emit_json(args, {"totally_real": answer})
     else:
         _emit(args, "totally real" if answer else "not totally real")
@@ -603,8 +616,9 @@ def _run_totally_real(args) -> int:
 
 
 def _run_isolate(args) -> int:
-    intervals = isolate_real_roots(parse_poly(args.poly))
-    if getattr(args, "json", False):
+    _, prim = content_and_primitive(parse_poly(args.poly))
+    intervals = isolate_real_roots(prim)
+    if args.json:
         _emit_json(
             args,
             [
@@ -711,10 +725,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    if not hasattr(args, "json"):
-        args.json = False
-    if not hasattr(args, "quiet"):
-        args.quiet = False
+    vars(args).setdefault("json", False)
+    vars(args).setdefault("quiet", False)
     try:
         return args.run(args)
     except _USAGE_ERRORS as exc:

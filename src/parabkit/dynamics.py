@@ -3,13 +3,15 @@
 Symbolic iterates and period polynomials live in ``IteratedMapPoly`` (monic in
 z over Z[c]).  From those this module derives the discriminant polynomials
 P_n(b), defined by disc_z(f_c^n(z) - z) = P_n(4c), for ``pn`` and for an
-algebraic parameter.  At a rational parameter c, ``point_discriminant``
-gives the value P_n(4c) as one univariate integer discriminant and builds
-no P_n; the bounded parabolicity search and the parity certificates at
-b = 0 and b = -6 read it.  Dynatomic polynomials, exact cycle multipliers,
-orbit tests for rational parameters, and the multiplier polynomials
-Delta_n(lambda, c) complete the module: an exact sign change of
-Delta_n(., c) inside [-1, 1] certifies an attracting cycle
+algebraic parameter.  At a rational parameter c = a/d every question about
+f_c^n(z) - z goes to one cached integer model, G(w) = d^(2^n) (f_c^n(w/d) -
+w/d), monic in Z[w]: ``point_discriminant`` gives the value P_n(4c) as its
+discriminant and builds no P_n (the bounded parabolicity search and the
+parity certificates at b = 0 and b = -6 read it), ``verify_cycle`` divides
+it exactly, and ``dynatomic_poly`` is a Moebius quotient of such models.
+Exact cycle multipliers, orbit tests for rational parameters, and the
+multiplier polynomials Delta_n(lambda, c) complete the module: an exact
+sign change of Delta_n(., c) inside [-1, 1] certifies an attracting cycle
 (``certify_attracting_cycle``).
 
 Everything is exact integer or rational arithmetic; nothing rounds.
@@ -27,9 +29,9 @@ from .cyclotomic import divisors, moebius
 from .polyring import (
     IntegerPoly,
     IteratedMapPoly,
+    NotDivisibleError,
     ParabkitError,
     Rat,
-    RationalPoly,
     discriminant,
     discriminant_in_z,
     _IPOLY_RING,
@@ -270,24 +272,33 @@ def discriminant_Pn(n: int) -> IntegerPoly:
 
 
 @lru_cache(maxsize=256)
-def _point_discriminant(n: int, c: Fraction) -> Fraction:
+def _period_model(n: int, c: Fraction) -> IntegerPoly:
+    # G(w) = d^(2^n) (f_c^n(w/d) - w/d) at c = a/d, monic in Z[w]; with
+    # z = w/d, f_c^k(z) = W_k(w)/d^(2^k) for W_1 = w^2 + a*d and
+    # W_(k+1) = W_k^2 + a*d^(2^(k+1) - 1), and G = W_n - d^(2^n - 1) w.
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > ITERATE_CAP:
+        raise CapExceededError(f"iterate cap is {ITERATE_CAP}, got n={n}")
     a, d = c.numerator, c.denominator
     w = IntegerPoly((a * d, 0, 1))
     for k in range(1, n):
         w = w * w + IntegerPoly.constant(a * d ** (2 ** (k + 1) - 1))
+    return w - IntegerPoly((0, d ** (2**n - 1)))
+
+
+@lru_cache(maxsize=256)
+def _point_discriminant(n: int, c: Fraction) -> Fraction:
     m = 2**n
-    g = w - IntegerPoly((0, d ** (m - 1)))
-    return Fraction(discriminant(g), d ** (m * (m - 1)))
+    return Fraction(discriminant(_period_model(n, c)), c.denominator ** (m * (m - 1)))
 
 
 def point_discriminant(n: int, c: Rat) -> Fraction:
     """Return P_n(4c) = disc_z(f_c^n(z) - z) at a rational c = a/d, exactly.
 
-    No P_n and no IteratedMapPoly is built.  Substituting z = w/d gives
-    f_c^k(z) = W_k(w)/d^(2^k) with the integer polynomials W_1 = w^2 + a*d
-    and W_(k+1) = W_k^2 + a*d^(2^(k+1) - 1).  With m = 2^n,
-    f_c^n(z) - z = G(w)/d^m for the monic G = W_n - d^(m-1) w, whose roots
-    are d times those of f_c^n(z) - z, so
+    No P_n and no IteratedMapPoly is built.  The cached integer model G of
+    f_c^n(z) - z (``_period_model``) is monic of degree m = 2^n, with roots
+    d times those of f_c^n(z) - z, so
     disc_z(f_c^n(z) - z) = prod_(i<j) (z_i - z_j)^2 = disc(G)/d^(m(m-1)).
     disc(G) is one subresultant PRS over the integers in degree m.  The
     value is an integer whenever 4c is one (P_n has integer coefficients).
@@ -298,10 +309,6 @@ def point_discriminant(n: int, c: Rat) -> Fraction:
     >>> point_discriminant(2, 0)
     Fraction(-27, 1)
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > ITERATE_CAP:
-        raise CapExceededError(f"iterate cap is {ITERATE_CAP}, got n={n}")
     return _point_discriminant(n, Fraction(c))
 
 
@@ -343,28 +350,34 @@ def parity_certificate(n: int) -> ParityCertificate:
     )
 
 
-def dynatomic_poly(n: int, c: Rat) -> RationalPoly:
-    """Return the n-th dynatomic polynomial of f_c via the Moebius product.
+def dynatomic_poly(n: int, c: Rat) -> IntegerPoly:
+    """Return the n-th dynatomic polynomial of f_c at a rational c = a/q.
 
-    Computed as prod over d | n of (f_c^d(z) - z)^mu(n/d) with exact division;
-    its roots are the points of exact period n (with multiplicity conventions
-    at parabolic parameters).
+    The Moebius product of (f_c^k(z) - z)^mu(n/k) over k | n, taken on the
+    monic integer models G_k(w) = q^(2^k) (f_c^k(w/q) - w/q), is an exact
+    division in Z[w] with the monic quotient H(w) = q^D Phi_n(w/q).  The
+    result is the primitive part of H(q z): an integer polynomial with the
+    roots of Phi_n, the points of exact period n (with multiplicity
+    conventions at parabolic parameters).
+
+    >>> dynatomic_poly(2, Fraction(-5, 4)).coeffs  # 4z^2 + 4z - 1
+    (-1, 4, 4)
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     c = Fraction(c)
-    numerator = RationalPoly.one()
-    denominator = RationalPoly.one()
-    for d in divisors(n):
-        mu = moebius(n // d)
+    numerator = IntegerPoly.one()
+    denominator = IntegerPoly.one()
+    for k in divisors(n):
+        mu = moebius(n // k)
         if mu == 0:
             continue
-        factor = period_poly(d).evaluate_at_c(c)
         if mu == 1:
-            numerator = numerator * factor
+            numerator = numerator * _period_model(k, c)
         else:
-            denominator = denominator * factor
-    return numerator.divide_exact(denominator)
+            denominator = denominator * _period_model(k, c)
+    model = numerator.divide_exact(denominator)
+    return IntegerPoly(tuple(h * c.denominator**i for i, h in enumerate(model.coeffs))).primitive()
 
 
 def cycle_multiplier(g: IntegerPoly, n: int) -> Fraction:
@@ -390,19 +403,22 @@ def cycle_multiplier(g: IntegerPoly, n: int) -> Fraction:
 def verify_cycle(c: Rat, g: IntegerPoly, n: int, expected: Rat) -> CycleCertificate:
     """Check that g cuts out a period-n cycle of f_c with the expected multiplier.
 
-    Divisibility g | f_c^n(z) - z is verified by exact division over Q.  The
-    caller asserts that g's roots form a single cycle; the certificate stores
-    the primitive representative of g.
+    With c = a/d, g | f_c^n(z) - z over Q exactly when h(w) = d^n g(w/d)
+    divides the model G(w) = d^(2^n) (f_c^n(w/d) - w/d) over Q, and by
+    Gauss's lemma exactly when the primitive part of h divides G in Z[w]:
+    one exact division of the cached G.  The caller asserts that g's roots
+    form a single cycle; the certificate stores the primitive part of g.
     """
     c = Fraction(c)
     expected = Fraction(expected)
     if g.is_zero or g.degree != n:
         raise DegreeMismatchError(f"deg g = {g.degree} but period {n} was claimed")
     g = g.primitive()
-    target = period_poly(n).evaluate_at_c(c)
-    _, remainder = target.divmod_poly(g.to_rational())
-    if not remainder.is_zero:
-        raise NotAFactorError(f"{g} does not divide f^{n}(z) - z at c = {c}")
+    h = IntegerPoly(tuple(k * c.denominator ** (n - i) for i, k in enumerate(g.coeffs))).primitive()
+    try:
+        _period_model(n, c).divide_exact(h)
+    except NotDivisibleError:
+        raise NotAFactorError(f"{g} does not divide f^{n}(z) - z at c = {c}") from None
     lam = cycle_multiplier(g, n)
     if lam != expected:
         raise MultiplierMismatchError(f"multiplier is {lam}, expected {expected}")

@@ -1,13 +1,12 @@
 """Exact univariate and bivariate polynomial arithmetic.
 
-Coefficients are arbitrary-precision rationals or integers; nothing in this
-module ever rounds. Three coefficient shapes appear:
-
-* ``RationalPoly``: dense polynomial over ``fractions.Fraction``.
-* ``IntegerPoly``: dense polynomial over ``int``; supports content and
-  primitive-part extraction.
-* ``IteratedMapPoly``: polynomial in ``z`` whose z-coefficients are
-  ``IntegerPoly`` values in a parameter ``c``, i.e. an element of Z[c][z].
+Coefficients are arbitrary-precision integers; nothing here ever rounds.
+The parser boundary rule: ``parse_poly`` returns a ``RationalPoly`` (over
+``fractions.Fraction``, with only the ring operations of the grammar), and
+``content_and_primitive`` converts it once into a primitive ``IntegerPoly``.
+Everything below the parser takes ``IntegerPoly`` only.  ``IteratedMapPoly``
+is a polynomial in ``z`` with ``IntegerPoly`` coefficients in a parameter
+``c``, i.e. an element of Z[c][z].
 
 Coefficients are stored low-to-high (``coeffs[i]`` multiplies ``x**i``) and
 rendered high-to-low. Resultants use the subresultant polynomial remainder
@@ -28,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Union
 
 Rat = Union[int, Fraction]
 
@@ -89,7 +88,10 @@ class UnknownVariableError(ParseError):
 
 @dataclass(frozen=True, slots=True)
 class RationalPoly:
-    """Dense univariate polynomial over Fraction, low-to-high coefficients."""
+    """Dense univariate polynomial over Fraction, low-to-high coefficients.
+
+    The parser's output type, with only the ring operations its grammar uses.
+    """
 
     coeffs: tuple = ()
 
@@ -175,51 +177,6 @@ class RationalPoly:
             base = base * base
             n >>= 1
         return result
-
-    def evaluate(self, x: Rat) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def compose(self, other: "RationalPoly") -> "RationalPoly":
-        """Return self(other(x))."""
-        acc = RationalPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * other + RationalPoly.constant(c)
-        return acc
-
-    def divmod_poly(self, other: "RationalPoly"):
-        """Euclidean division: return (q, r) with self = q*other + r, deg r < deg other."""
-        if other.is_zero:
-            raise ZeroPolynomialError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.leading
-        quo = [Fraction(0)] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            t = rem[-1] / lc
-            quo[k] = t
-            for i, oc in enumerate(other.coeffs):
-                rem[k + i] -= t * oc
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return RationalPoly(quo), RationalPoly(rem)
-
-    def divide_exact(self, other: "RationalPoly") -> "RationalPoly":
-        q, r = self.divmod_poly(other)
-        if not r.is_zero:
-            raise NotDivisibleError(f"{self} is not divisible by {other}")
-        return q
-
-    def monic(self) -> "RationalPoly":
-        if self.is_zero:
-            raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        return self * (1 / self.leading)
 
     def __str__(self) -> str:
         return format_poly(self, "x")
@@ -458,26 +415,17 @@ class RationalInterval:
 
 
 def content_and_primitive(p: RationalPoly):
-    """Split p = gamma * q with q a primitive IntegerPoly, lc(q) > 0.
+    """Split the parsed p = gamma * q with q a primitive IntegerPoly, lc(q) > 0.
 
     >>> gamma, q = content_and_primitive(RationalPoly((Fraction(-1, 4), 1, 1)))
     >>> gamma, q.coeffs
     (Fraction(1, 4), (-1, 4, 4))
     """
-    if isinstance(p, IntegerPoly):
-        p = p.to_rational()
     if p.is_zero:
         raise ZeroPolynomialError("zero polynomial has no content")
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    num_gcd = 0
-    for c in ints:
-        num_gcd = math.gcd(num_gcd, abs(c))
-    if ints[-1] < 0:
-        num_gcd = -num_gcd
-    return Fraction(num_gcd, den_lcm), IntegerPoly(tuple(c // num_gcd for c in ints))
+    den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = IntegerPoly(tuple(int(c * den_lcm) for c in p.coeffs))
+    return Fraction(ints.content(), den_lcm), ints.primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -579,47 +527,29 @@ def _resultant_lists(A: list, B: list, ring: _Ring):
     return res if sign == 1 else -res
 
 
-def resultant(p, q):
+def _disc_sign(d: int) -> int:
+    return -1 if (d * (d - 1) // 2) % 2 else 1
+
+
+def resultant(p: IntegerPoly, q: IntegerPoly) -> int:
     """res(p, q) = lc(p)^deg(q) * prod q(alpha_i) over the roots alpha_i of p.
 
-    Accepts RationalPoly (Fraction result) or IntegerPoly (int result).
-
-    >>> resultant(RationalPoly((-2, 1)), RationalPoly((-3, 1)))
-    Fraction(-1, 1)
+    >>> resultant(IntegerPoly((-2, 1)), IntegerPoly((-3, 1)))
+    -1
     """
-    if isinstance(p, IntegerPoly) and isinstance(q, IntegerPoly):
-        if p.is_zero or q.is_zero:
-            raise ZeroPolynomialError("resultant of the zero polynomial")
-        return _resultant_lists(list(p.coeffs), list(q.coeffs), _INT_RING)
-    if isinstance(p, IntegerPoly):
-        p = p.to_rational()
-    if isinstance(q, IntegerPoly):
-        q = q.to_rational()
     if p.is_zero or q.is_zero:
         raise ZeroPolynomialError("resultant of the zero polynomial")
-    cp, ip = content_and_primitive(p)
-    cq, iq = content_and_primitive(q)
-    core = _resultant_lists(list(ip.coeffs), list(iq.coeffs), _INT_RING)
-    return cp**iq.degree * cq**ip.degree * Fraction(core)
+    return _resultant_lists(list(p.coeffs), list(q.coeffs), _INT_RING)
 
 
-def discriminant(p):
+def discriminant(p: IntegerPoly) -> int:
     """disc(p) = (-1)^(d(d-1)/2) * res(p, p') / lc(p) with d = deg p."""
-    if isinstance(p, IntegerPoly):
-        if p.is_zero:
-            raise ZeroPolynomialError("discriminant of the zero polynomial")
-        if p.degree == 0:
-            raise ConstantPolynomialError("discriminant needs degree >= 1")
-        r = resultant(p, p.derivative())
-        s = -1 if (p.degree * (p.degree - 1) // 2) % 2 else 1
-        return _int_exact_div(s * r, p.leading)
     if p.is_zero:
         raise ZeroPolynomialError("discriminant of the zero polynomial")
     if p.degree == 0:
         raise ConstantPolynomialError("discriminant needs degree >= 1")
     r = resultant(p, p.derivative())
-    s = -1 if (p.degree * (p.degree - 1) // 2) % 2 else 1
-    return s * r / p.leading
+    return _int_exact_div(_disc_sign(p.degree) * r, p.leading)
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +640,6 @@ class IteratedMapPoly:
     def derivative_z(self) -> "IteratedMapPoly":
         return IteratedMapPoly(tuple(c * i for i, c in enumerate(self.coeffs_in_z) if i))
 
-    def evaluate_at_c(self, value: Rat) -> RationalPoly:
-        """Specialize the parameter c to an exact rational."""
-        return RationalPoly(tuple(Fraction(p.evaluate(Fraction(value))) for p in self.coeffs_in_z))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -737,10 +663,6 @@ def resultant_in_z(P: IteratedMapPoly, Q: IteratedMapPoly) -> IntegerPoly:
     if P.is_zero or Q.is_zero:
         raise ZeroPolynomialError("resultant of the zero polynomial")
     return _resultant_lists(list(P.coeffs_in_z), list(Q.coeffs_in_z), _IPOLY_RING)
-
-
-def _disc_sign(d: int) -> int:
-    return -1 if (d * (d - 1) // 2) % 2 else 1
 
 
 def discriminant_in_z(P: IteratedMapPoly) -> IntegerPoly:
@@ -832,44 +754,33 @@ def _int_gcd(p: IntegerPoly, q: IntegerPoly) -> IntegerPoly:
 
 
 @lru_cache(maxsize=512)
-def _squarefree_int_model(coeffs: tuple) -> IntegerPoly:
-    # Squarefree primitive integer model, positive leading coefficient, of the
-    # nonzero polynomial with these coefficients: primitive(p) / gcd(p, p'),
-    # an exact quotient in Z[x] by Gauss's lemma.  Equal int and Fraction
-    # tuples hash and compare equal, so an IntegerPoly and an equal
-    # RationalPoly share one cache entry.
-    _, prim = content_and_primitive(RationalPoly(coeffs))
-    return prim.divide_exact(_int_gcd(prim, prim.derivative()))
+def squarefree_part(p: IntegerPoly) -> IntegerPoly:
+    """primitive(p) / gcd(p, p'): the roots of p, each once, lc > 0.
 
+    An exact quotient in Z[x] by Gauss's lemma, cached per polynomial in a
+    bounded LRU cache, so the counts and isolations on one p build it once.
 
-def squarefree_part(p) -> RationalPoly:
-    """p / gcd(p, p'), monic.
-
-    >>> squarefree_part(RationalPoly((0, 0, 0, 1))).coeffs
-    (Fraction(0, 1), Fraction(1, 1))
+    >>> squarefree_part(IntegerPoly((0, 0, 0, -2))).coeffs
+    (0, 1)
     """
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    return _squarefree_int_model(p.coeffs).to_rational().monic()
+    prim = p.primitive()
+    return prim.divide_exact(_int_gcd(prim, prim.derivative()))
 
 
-def cauchy_bound(p) -> Fraction:
+def cauchy_bound(p: IntegerPoly) -> Fraction:
     """B with every real root of p strictly inside (-B, B)."""
-    if isinstance(p, IntegerPoly):
-        p = p.to_rational()
     if p.is_zero:
         raise ZeroPolynomialError("root bound of the zero polynomial")
-    if p.degree == 0:
-        return Fraction(1)
-    lead = abs(p.leading)
-    top = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + top / lead
+    top = max((abs(c) for c in p.coeffs[:-1]), default=0)
+    return 1 + Fraction(top, abs(p.leading))
 
 
 def _divide_out_root(q: IntegerPoly, r: Fraction) -> IntegerPoly:
-    quo = q.to_rational().divide_exact(RationalPoly((-r, Fraction(1))))
-    _, prim = content_and_primitive(quo)
-    return prim
+    # q / (b*x - a) for the root r = a/b of q: exact in Z[x], since the
+    # primitive linear factor of a root of q divides q by Gauss's lemma
+    return q.divide_exact(IntegerPoly((-r.numerator, r.denominator)))
 
 
 def _sturm_count_int(q: IntegerPoly, interval: RationalInterval) -> int:
@@ -892,7 +803,7 @@ def _sturm_count_int(q: IntegerPoly, interval: RationalInterval) -> int:
     return total
 
 
-def sturm_count(p, interval: RationalInterval) -> int:
+def sturm_count(p: IntegerPoly, interval: RationalInterval) -> int:
     """Number of distinct real roots of p in the interval.
 
     Works on the squarefree primitive integer model of p, so repeated roots
@@ -903,12 +814,12 @@ def sturm_count(p, interval: RationalInterval) -> int:
     rest is V(lo) - V(hi), the drop in sign changes of the chain, with every
     sign taken exactly in integers as the sign of b^deg * q(a/b) at a/b.
 
-    >>> sturm_count(RationalPoly((-2, 0, 1)), RationalInterval(0, 2))
+    >>> sturm_count(IntegerPoly((-2, 0, 1)), RationalInterval(0, 2))
     1
     """
     if p.is_zero:
         raise ZeroPolynomialError("root counting needs a nonzero polynomial")
-    return _sturm_count_int(_squarefree_int_model(p.coeffs), interval)
+    return _sturm_count_int(squarefree_part(p), interval)
 
 
 class _Bisection:
@@ -972,7 +883,7 @@ class _Bisection:
 _ISOLATION_WIDTH = Fraction(1, 4)
 
 
-def isolate_real_roots(p):
+def isolate_real_roots(p: IntegerPoly):
     """Disjoint rational intervals, each isolating one real root of p.
 
     Sturm counts split the Cauchy-bound interval until each piece holds one
@@ -982,7 +893,7 @@ def isolate_real_roots(p):
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    q = _squarefree_int_model(p.coeffs)
+    q = squarefree_part(p)
     if q.degree <= 0:
         return ()
     bound = cauchy_bound(q)
@@ -1052,7 +963,11 @@ class _Tokenizer:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return int(self.text[start : self.pos]), start
+        digits = self.text[start : self.pos]
+        try:
+            return int(digits), start
+        except ValueError:  # longer than the interpreter converts
+            raise ParseError(f"number {digits!r} has too many digits", start) from None
 
 
 class _Parser:
@@ -1154,11 +1069,8 @@ def parse_poly(text: str, var=None) -> RationalPoly:
 
 
 def format_poly(p, var: str = "x") -> str:
-    """Canonical descending-power rendering; parse_poly inverts it exactly."""
-    if isinstance(p, IntegerPoly):
-        coeffs = tuple(Fraction(c) for c in p.coeffs)
-    else:
-        coeffs = p.coeffs
+    """Canonical descending-power rendering of an IntegerPoly or a parsed RationalPoly."""
+    coeffs = p.coeffs
     if not coeffs:
         return "0"
     parts = []

@@ -14,6 +14,7 @@ import mpmath
 
 from parabkit.algebraic import from_rational, make_real_algebraic
 from parabkit.cyclotomic import cyclotomic_poly, euler_phi, trace_polynomial
+from parabkit.cyclotomic import divisors, moebius
 from parabkit.dynamics import cycle_multiplier, dynatomic_poly, period_poly
 from parabkit.polyring import (
     IntegerPoly,
@@ -31,7 +32,6 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _squarefree_int_model
 
 PAPER_CYCLES = (
     (Fraction(1, 4), IntegerPoly((-1, 2)), 1, Fraction(1)),
@@ -39,6 +39,74 @@ PAPER_CYCLES = (
     (Fraction(-5, 4), IntegerPoly((-1, 4, 4)), 2, Fraction(-1)),
     (Fraction(-7, 4), IntegerPoly((-1, -18, 4, 8)), 3, Fraction(1)),
 )
+
+
+def primitive_of(p: RationalPoly) -> IntegerPoly:
+    """The primitive integer model of a parsed polynomial; zero stays zero."""
+    return IntegerPoly.zero() if p.is_zero else content_and_primitive(p)[1]
+
+
+def evaluate(p, x) -> Fraction:
+    """p(x) by Horner's rule in Fractions, for a RationalPoly or an IntegerPoly."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def evaluate_at_c(P: IteratedMapPoly, c) -> RationalPoly:
+    """Specialise the parameter c of P to an exact rational."""
+    return RationalPoly(tuple(evaluate(p, Fraction(c)) for p in P.coeffs_in_z))
+
+
+def rational_resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
+    """res(p, q) over Q: res(gp*P, gq*Q) = gp^deg Q * gq^deg P * res(P, Q)."""
+    cp, ip = content_and_primitive(p)
+    cq, iq = content_and_primitive(q)
+    return cp**iq.degree * cq**ip.degree * Fraction(resultant(ip, iq))
+
+
+def rational_discriminant(p: RationalPoly) -> Fraction:
+    """disc(p) over Q: disc(g*P) = g^(2 deg P - 2) * disc(P)."""
+    gamma, prim = content_and_primitive(p)
+    return gamma ** (2 * prim.degree - 2) * discriminant(prim)
+
+
+def fraction_divide_exact(p: RationalPoly, q: RationalPoly) -> RationalPoly:
+    """p / q by long division in Fractions; the remainder must be zero."""
+    rem = list(p.coeffs)
+    quo = [Fraction(0)] * max(len(rem) - q.degree, 0)
+    while rem and len(rem) - 1 >= q.degree:
+        k = len(rem) - 1 - q.degree
+        t = rem[-1] / q.leading
+        quo[k] = t
+        for i, qc in enumerate(q.coeffs):
+            rem[k + i] -= t * qc
+        while rem and rem[-1] == 0:
+            rem.pop()
+    assert not rem, f"{p} is not divisible by {q}"
+    return RationalPoly(quo)
+
+
+def fraction_dynatomic_poly(n: int, c) -> RationalPoly:
+    """Reference dynatomic polynomial: the monic Moebius product in Fractions.
+
+    The dynatomic_poly that specialised f_c^d(z) - z to Fraction
+    coefficients and divided over Q, kept as an oracle for the integer
+    models.
+    """
+    numerator = RationalPoly.one()
+    denominator = RationalPoly.one()
+    for d in divisors(n):
+        mu = moebius(n // d)
+        if mu == 0:
+            continue
+        factor = evaluate_at_c(period_poly(d), c)
+        if mu == 1:
+            numerator = numerator * factor
+        else:
+            denominator = denominator * factor
+    return fraction_divide_exact(numerator, denominator)
 
 
 def random_integer_poly(rng: random.Random, max_degree: int = 5, bound: int = 20) -> IntegerPoly:
@@ -74,16 +142,16 @@ def check_trace_identity(upto: int = 50) -> None:
     # of Phi_n satisfies the same shape.  Checking degree+1 points proves the
     # polynomial identity exactly.
     for n in range(3, upto + 1):
-        phi = cyclotomic_poly(n).to_rational()
-        tn = trace_polynomial(n).to_rational()
+        phi = cyclotomic_poly(n)
+        tn = trace_polynomial(n)
         m = euler_phi(n) // 2
         assert phi.degree == 2 * m, n
         for k in range(1, 2 * m + 2):
             t = Fraction(k)
             assert phi.evaluate(t) == t**m * tn.evaluate(t + 1 / t), (n, k)
     for n in (1, 2):
-        phi = cyclotomic_poly(n).to_rational()
-        tn = trace_polynomial(n).to_rational()
+        phi = cyclotomic_poly(n)
+        tn = trace_polynomial(n)
         for k in range(1, 4):
             t = Fraction(k)
             assert phi.evaluate(t) ** 2 == t * tn.evaluate(t + 1 / t), (n, k)
@@ -103,7 +171,7 @@ def check_resultant_numeric(seed: int = 2026, cases: int = 30, tol: float = 1e-6
         while done < cases:
             p = random_integer_poly(rng, 5, 12)
             q = random_integer_poly(rng, 5, 12)
-            res = resultant(p.to_rational(), q.to_rational())
+            res = resultant(p, q)
             if res == 0:
                 continue
             acc = mpmath.mpc(1)
@@ -115,7 +183,7 @@ def check_resultant_numeric(seed: int = 2026, cases: int = 30, tol: float = 1e-6
             assert rel < tol, (p.coeffs, q.coeffs, float(rel))
             worst = max(worst, float(rel))
 
-            disc = discriminant(p.to_rational())
+            disc = discriminant(p)
             if disc != 0:
                 roots = _numeric_roots(p)
                 acc = mpmath.mpc(1)
@@ -137,7 +205,7 @@ def check_sturm_numeric(seed: int = 7, cases: int = 40) -> None:
     done = 0
     while done < cases:
         p = random_integer_poly(rng, 6, 15)
-        sf = squarefree_part(p.to_rational())
+        sf = squarefree_part(p)
         if sf.degree < 1:
             continue
         bound = cauchy_bound(sf) + 1
@@ -164,6 +232,7 @@ def check_sturm_constructed(seed: int = 11, cases: int = 20) -> None:
             p = p * RationalPoly((Fraction(b), Fraction(a), Fraction(1)))
         if p.degree < 1:
             continue
+        p = primitive_of(p)
         bound = cauchy_bound(p) + 1
         assert sturm_count(p, RationalInterval(-bound, bound)) == len(real_roots), (
             p.coeffs,
@@ -226,11 +295,12 @@ def check_dynatomic_product(nmax: int = 6, seed: int = 7, trials: int = 3) -> No
     for _ in range(trials):
         c = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
         for n in range(1, nmax + 1):
-            prod = RationalPoly.one()
+            prod = IntegerPoly.one()
             for d in range(1, n + 1):
                 if n % d == 0:
                     prod = prod * dynatomic_poly(d, c)
-            assert prod == period_poly(n).evaluate_at_c(c), (c, n)
+            # a product of primitive polynomials is primitive (Gauss)
+            assert prod == primitive_of(evaluate_at_c(period_poly(n), c)), (c, n)
 
 
 def check_multiplier_numeric(tol: float = 1e-9) -> float:
@@ -249,7 +319,7 @@ def check_multiplier_numeric(tol: float = 1e-9) -> float:
     return worst
 
 
-def sylvester_resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
+def sylvester_resultant(p, q) -> Fraction:
     """Independent O(n^3) resultant oracle: determinant of the Sylvester matrix."""
     if p.is_zero or q.is_zero:
         raise ZeroPolynomialError("resultant of the zero polynomial")
@@ -328,7 +398,7 @@ def fraction_isolate_real_roots(p) -> tuple:
     The isolate_real_roots that narrowed each one-root interval by counting
     roots of its left half, kept as an oracle for the sign-bisection kernel.
     """
-    q = _squarefree_int_model(p.coeffs)
+    q = squarefree_part(p)
     if q.degree <= 0:
         return ()
 
@@ -378,8 +448,10 @@ def fraction_affine_transform(alpha, s, t):
         return from_rational(s * alpha.to_rational() + t)
     d = alpha.minpoly.degree
     inner = RationalPoly((-t / s, 1 / s))  # (x - t)/s
-    moved = alpha.minpoly.to_rational().compose(inner) * s**d
-    _, prim = content_and_primitive(moved)
+    moved = RationalPoly.zero()
+    for c in reversed(alpha.minpoly.coeffs):  # minpoly(inner) by Horner
+        moved = moved * inner + RationalPoly.constant(c)
+    _, prim = content_and_primitive(moved * s**d)
     iv = alpha.isolation
     lo, hi = s * iv.lo + t, s * iv.hi + t
     lo_s, hi_s = iv.lo_strict, iv.hi_strict

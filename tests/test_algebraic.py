@@ -28,9 +28,9 @@ from parabkit.polyring import (
     RationalPoly,
     content_and_primitive,
     isolate_real_roots,
+    squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _squarefree_int_model
 
 SQRT2_POLY = IntegerPoly((-2, 0, 1))
 GOLDEN_POLY = IntegerPoly((-1, 1, 1))  # roots (-1 +- sqrt5)/2
@@ -271,7 +271,7 @@ def squarefree_polys(draw):
     for r in roots:
         p = p * IntegerPoly((-r.numerator, r.denominator))
     assume(p.degree >= 1)
-    return _squarefree_int_model(p.coeffs)
+    return squarefree_part(p)
 
 
 def _isolations(m):
@@ -329,7 +329,7 @@ def test_sign_at_matches_fraction_evaluation_near_zero(m, g, c, j):
         narrow = iv
         while sturm_count(p, narrow):
             narrow = helpers.fraction_refined(m, narrow, narrow.width / 2)
-        value = p.to_rational().evaluate(narrow.midpoint)
+        value = p.evaluate(narrow.midpoint)
         assert sign_at(p, alpha) == (value > 0) - (value < 0)
 
 

@@ -342,6 +342,39 @@ def test_fresh_prop2_builds_no_pn():
     assert result.stdout.split("\n")[:2] == ["0 0", "1 1"]
 
 
+def test_fresh_pipelines_build_no_rational_poly():
+    # RationalPoly is the parser's output type only: the pipelines and the
+    # P_n sign at an algebraic parameter construct none; parse_parameter,
+    # which runs the parser, shows that the probe sees them.
+    import parabkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
+    probe = (
+        "from parabkit import polyring\n"
+        "count = [0]\n"
+        "original = polyring.RationalPoly.__post_init__\n"
+        "def counting(self):\n"
+        "    count[0] += 1\n"
+        "    original(self)\n"
+        "polyring.RationalPoly.__post_init__ = counting\n"
+        "from parabkit.classify import parse_parameter, prop1_pipeline, prop2_pipeline\n"
+        "from parabkit.dynamics import is_parabolic_up_to\n"
+        "prop1_pipeline()\n"
+        "prop2_pipeline()\n"
+        "print(count[0])\n"
+        "alpha = parse_parameter('16x^2+52x+41@[-3/2,-1]')\n"
+        "print(count[0] > 0)\n"
+        "count[0] = 0\n"
+        "is_parabolic_up_to(alpha, 5)\n"
+        "print(count[0])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:3] == ["0", "True", "0"]
+
+
 def test_cli_multiplier():
     code, out = run_cli("multiplier", "--c", "-5/4", "--period", "2", "--cycle-poly", "4z^2+4z-1")
     assert code == 0 and "-1" in out
@@ -402,6 +435,31 @@ def test_cli_usage_errors():
         code, _ = run_cli("multiplier", "--c", "1/0", "--period", "1", "--cycle-poly", "2x-1")
     assert code == 2
     assert err.getvalue().startswith("error: not a rational parameter: '1/0'")
+    # numbers with more digits than the interpreter prints are refused where
+    # they are parsed, quoting the input
+    long_literal = "1" * 5000
+    for argv, quoted in (
+        (("classify", "--c", "1e5000"), "'1e5000'"),
+        (("multiplier", "--c", "1e5000", "--period", "1", "--cycle-poly", "2x-1"), "'1e5000'"),
+        (("classify", "--c", "x^2-2@[1,1e5000]"), "'1e5000'"),
+        (("classify", "--c", "x^2-2@[-1e5000,-1]"), "'-1e5000'"),
+        (("isolate", "--poly", f"x-{long_literal}"), f"'{long_literal}' has too many digits (at position 2)"),
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(*argv)[0] == 2, argv[:3]
+        assert quoted in err.getvalue(), argv[:3]
+        assert "Exceeds the limit" not in err.getvalue(), argv[:3]
+
+
+def test_cli_classify_clamps_wide_isolations():
+    # an isolation much wider than the Cauchy bound (here 3) is clamped to
+    # it before refinement: exactly one root, so the same answer and bytes
+    for wide, tight in (("x^2-2@[1,1e1300]", "x^2-2@[1,2]"), ("x^2-2@[-1e1300,-1]", "x^2-2@[-2,-1]")):
+        for flags in ((), ("--json",)):
+            code, out = run_cli("classify", "--c", wide, *flags)
+            assert code == 0 and (code, out) == run_cli("classify", "--c", tight, *flags), wide
+    assert run_cli("classify", "--c", "x^2-2@[1,10]")[1].startswith("x^2-2@[1,2]: ")
 
 
 def test_cli_negative_values_after_space():

@@ -86,7 +86,7 @@ def test_iterate_map_shape():
 
 def test_iterate_map_constant_term_is_critical_orbit():
     f3 = iterate_map(3)
-    c_poly = f3.coeffs_in_z[0].to_rational()
+    c_poly = f3.coeffs_in_z[0]
     val = F(0)
     for _ in range(3):
         val = val * val + F(1, 3)
@@ -94,9 +94,9 @@ def test_iterate_map_constant_term_is_critical_orbit():
 
 
 def test_period_poly_vanishes_at_fixed_points():
-    assert period_poly(2).evaluate_at_c(F(0)).coeff(0) == 0
-    spec = period_poly(1).evaluate_at_c(F(-2))
-    assert spec.evaluate(F(2)) == 0  # z = 2 is fixed for c = -2
+    assert helpers.evaluate_at_c(period_poly(2), F(0)).coeff(0) == 0
+    spec = helpers.evaluate_at_c(period_poly(1), F(-2))
+    assert helpers.evaluate(spec, F(2)) == 0  # z = 2 is fixed for c = -2
 
 
 def test_iterate_cap():
@@ -193,27 +193,39 @@ def test_pn_root_iff_multiple_cycle():
         samples.append(F(rng.randint(-9, 2), rng.randint(1, 8)))
     for c in samples:
         for n in range(1, 5):
-            spec = period_poly(n).evaluate_at_c(c)
+            spec = helpers.primitive_of(helpers.evaluate_at_c(period_poly(n), c))
             multiple = squarefree_part(spec).degree < spec.degree
-            root = discriminant_Pn(n).to_rational().evaluate(4 * c) == 0
+            root = discriminant_Pn(n).evaluate(4 * c) == 0
             assert multiple == root, (c, n)
 
 
 def test_dynatomic_examples():
     d2 = dynatomic_poly(2, F(-5, 4))
-    assert d2 == parse_poly("z^2+z-1/4", var="z")
-    assert content_and_primitive(d2)[1] == IntegerPoly((-1, 4, 4))
+    assert d2 == content_and_primitive(parse_poly("z^2+z-1/4", var="z"))[1]
+    assert d2 == IntegerPoly((-1, 4, 4))
     d1 = dynatomic_poly(1, F(7, 3))
-    assert d1 == parse_poly("z^2-z+7/3", var="z")
+    assert d1 == content_and_primitive(parse_poly("z^2-z+7/3", var="z"))[1]
     d3 = dynatomic_poly(3, F(-7, 4))
     assert d3.degree == 6
-    assert content_and_primitive(squarefree_part(d3))[1] == IntegerPoly((-1, -18, 4, 8))
+    assert squarefree_part(d3) == IntegerPoly((-1, -18, 4, 8))
     with pytest.raises(CapExceededError):
         dynatomic_poly(7, F(0))
 
 
 def test_dynatomic_product_identity():
     helpers.check_dynatomic_product(6)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    c=st.fractions(min_value=-2, max_value=F(1, 4), max_denominator=12),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_dynatomic_poly_matches_fraction_oracle(n, c):
+    # the Moebius quotient of integer models against the Moebius product
+    # of f_c^d(z) - z in Fractions: the same polynomial up to its content
+    expected = content_and_primitive(helpers.fraction_dynatomic_poly(n, c))[1]
+    assert dynatomic_poly(n, c) == expected
 
 
 def test_cycle_multiplier_values():
@@ -236,6 +248,17 @@ def test_verify_cycle_certificates():
     for cert, (c, g, n, lam) in zip(certs, helpers.PAPER_CYCLES):
         assert cert.parameter == c
         assert cert.cycle_poly == g.primitive()
+
+
+def test_verify_cycle_refuses_a_moved_constant_term():
+    # the four paper cycles, each with its constant term moved by +-1: no
+    # longer a factor of f_c^n(z) - z
+    for c, g, n, lam in helpers.PAPER_CYCLES:
+        verify_cycle(c, g, n, lam)
+        for shift in (-1, 1):
+            moved = IntegerPoly((g.coeff(0) + shift,) + g.coeffs[1:])
+            with pytest.raises(NotAFactorError):
+                verify_cycle(c, moved, n, lam)
 
 
 def test_verify_cycle_rejections():
@@ -362,7 +385,7 @@ def test_multiplier_polynomial_closed_forms():
         "1",
     )
     # (lambda - 1)^2 at -7/4, where the two 3-cycles collide
-    assert multiplier_polynomial(3).evaluate_at_c(F(-7, 4)) == parse_poly("(x-1)^2")
+    assert helpers.evaluate_at_c(multiplier_polynomial(3), F(-7, 4)) == parse_poly("(x-1)^2")
     # one factor per n-cycle: (sum over d | n of mu(n/d) 2^d) / n
     for n, cycles in zip(range(1, 6), (2, 1, 2, 3, 6)):
         delta = multiplier_polynomial(n)
@@ -377,10 +400,13 @@ def test_multiplier_polynomial_closed_forms():
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_multiplier_polynomial_against_prs(n, c, a):
     # res_z(Phi_n, a - (f^n)'(z)) = Delta_n(a, c)^n, by the subresultant PRS
-    # over Q at a rational point
-    derivative = iterate_map(n).evaluate_at_c(c).derivative()
-    res = resultant(dynatomic_poly(n, c), RationalPoly.constant(a) - derivative)
-    assert res == multiplier_polynomial(n).evaluate_at_c(c).evaluate(a) ** n
+    # over Q at a rational point, for the monic Phi_n
+    derivative = helpers.evaluate_at_c(iterate_map(n).derivative_z(), c)
+    phi = dynatomic_poly(n, c).to_rational()
+    phi = phi * (1 / phi.leading)
+    res = helpers.rational_resultant(phi, RationalPoly.constant(a) - derivative)
+    delta = helpers.evaluate_at_c(multiplier_polynomial(n), c)
+    assert res == helpers.evaluate(delta, a) ** n
 
 
 def test_multiplier_polynomial_norm_at_the_quadratic_pair():

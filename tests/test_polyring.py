@@ -28,7 +28,7 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _int_gcd, _sign_changes, _squarefree_int_model
+from parabkit.polyring import _int_gcd, _sign_changes
 
 rational = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 rational_polys = st.lists(rational, min_size=1, max_size=7).map(lambda cs: RationalPoly(tuple(cs)))
@@ -52,37 +52,9 @@ def test_arithmetic_identities():
     assert p * RationalPoly.one() == p
     assert p * RationalPoly.zero() == RationalPoly.zero()
     assert (p * q).degree == p.degree + q.degree
-    assert (p * q).evaluate(F(3, 2)) == p.evaluate(F(3, 2)) * q.evaluate(F(3, 2))
-
-
-def test_compose_and_derivative():
-    p = parse_poly("x^2+1")
-    shift = parse_poly("x+1")
-    assert p.compose(shift) == parse_poly("x^2+2x+2")
-    # product rule on a fixed pair
-    q = parse_poly("x^3-x")
-    lhs = (p * q).derivative()
-    rhs = p.derivative() * q + p * q.derivative()
-    assert lhs == rhs
-
-
-def test_divmod_and_divide_exact():
-    p = parse_poly("x^3-1")
-    quo, rem = p.divmod_poly(parse_poly("x-1"))
-    assert quo == parse_poly("x^2+x+1") and rem.is_zero
-    assert p.divide_exact(parse_poly("x-1")) == quo
-    with pytest.raises(NotDivisibleError):
-        p.divide_exact(parse_poly("x-2"))
-    with pytest.raises(ZeroPolynomialError):
-        p.divmod_poly(RationalPoly.zero())
-
-
-def test_monic_and_leading():
-    p = parse_poly("3x^2-6")
-    assert p.monic() == parse_poly("x^2-2")
-    assert p.leading == 3
-    with pytest.raises(ZeroPolynomialError):
-        RationalPoly.zero().monic()
+    x = F(3, 2)
+    assert helpers.evaluate(p * q, x) == helpers.evaluate(p, x) * helpers.evaluate(q, x)
+    assert parse_poly("3x^2-6").leading == 3
 
 
 def test_integer_poly_content_and_primitive():
@@ -100,6 +72,11 @@ def test_integer_poly_divide_exact():
     assert (p * q).divide_exact(q) == p
     with pytest.raises(NotDivisibleError):
         IntegerPoly((1, 1, 1)).divide_exact(IntegerPoly((1, 1)))
+    with pytest.raises(ZeroPolynomialError):
+        p.divide_exact(IntegerPoly.zero())
+    # product rule on a fixed pair
+    r, s = IntegerPoly((1, 0, 1)), IntegerPoly((0, -1, 0, 1))
+    assert (r * s).derivative() == r.derivative() * s + r * s.derivative()
 
 
 @given(p=rational_polys, q=rational_polys)
@@ -107,27 +84,26 @@ def test_integer_poly_divide_exact():
 def test_product_division_roundtrip(p, q):
     if q.is_zero:
         return
+    p, q = helpers.primitive_of(p), helpers.primitive_of(q)
     assert (p * q).divide_exact(q) == p
 
 
 @given(p=small_int_polys, q=small_int_polys, r=small_int_polys)
 @settings(max_examples=40, deadline=None)
 def test_resultant_multiplicative_and_swap(p, q, r):
-    pr, qr, rr = p.to_rational(), q.to_rational(), r.to_rational()
-    if pr.degree < 1 or qr.degree < 1 or rr.degree < 1:
+    if p.degree < 1 or q.degree < 1 or r.degree < 1:
         return
-    assert resultant(pr * qr, rr) == resultant(pr, rr) * resultant(qr, rr)
-    sign = F(-1) ** (pr.degree * qr.degree)
-    assert resultant(pr, qr) == sign * resultant(qr, pr)
+    assert resultant(p * q, r) == resultant(p, r) * resultant(q, r)
+    sign = F(-1) ** (p.degree * q.degree)
+    assert resultant(p, q) == sign * resultant(q, p)
 
 
 @given(p=small_int_polys, q=small_int_polys)
 @settings(max_examples=60, deadline=None)
 def test_resultant_matches_sylvester(p, q):
-    pr, qr = p.to_rational(), q.to_rational()
-    if pr.degree < 1 or qr.degree < 1:
+    if p.degree < 1 or q.degree < 1:
         return
-    assert resultant(pr, qr) == helpers.sylvester_resultant(pr, qr)
+    assert resultant(p, q) == helpers.sylvester_resultant(p, q)
 
 
 def test_resultant_numeric_oracle():
@@ -136,12 +112,15 @@ def test_resultant_numeric_oracle():
 
 def test_discriminant_known_values():
     # disc(x^2 + bx + c) = b^2 - 4c
-    assert discriminant(parse_poly("x^2+3x+1")) == 5
-    assert discriminant(parse_poly("x^2-2")) == 8
-    assert discriminant(parse_poly("x^3-x")) == 4
-    assert discriminant(parse_poly("(x-1)^2")) == 0
+    def disc(text):
+        return discriminant(helpers.primitive_of(parse_poly(text)))
+
+    assert disc("x^2+3x+1") == 5
+    assert disc("x^2-2") == 8
+    assert disc("x^3-x") == 4
+    assert disc("(x-1)^2") == 0
     with pytest.raises(ConstantPolynomialError):
-        discriminant(parse_poly("5"))
+        disc("5")
 
 
 def test_discriminant_in_z_matches_direct():
@@ -149,17 +128,17 @@ def test_discriminant_in_z_matches_direct():
     from parabkit.dynamics import iterate_map, period_poly
 
     pn = period_poly(2)
-    direct = discriminant(pn.evaluate_at_c(F(-1, 3)))
-    via_poly = discriminant_in_z(pn).to_rational().evaluate(F(-1, 3))
+    direct = helpers.rational_discriminant(helpers.evaluate_at_c(pn, F(-1, 3)))
+    via_poly = discriminant_in_z(pn).evaluate(F(-1, 3))
     assert via_poly == direct
 
 
 def test_squarefree_part():
-    p = parse_poly("(x-1)^2*(x+2)")
+    p = helpers.primitive_of(parse_poly("(x-1)^2*(x+2)"))
     sf = squarefree_part(p)
-    assert sf.monic() == parse_poly("(x-1)(x+2)").monic()
-    q = parse_poly("x^2-2")
-    assert squarefree_part(q).monic() == q.monic()
+    assert sf == helpers.primitive_of(parse_poly("(x-1)(x+2)"))
+    q = helpers.primitive_of(parse_poly("x^2-2"))
+    assert squarefree_part(q) == q
 
 
 @given(p=small_int_polys, q=small_int_polys, r=small_int_polys)
@@ -182,29 +161,30 @@ def test_squarefree_model_has_the_same_roots_once(p, q, e):
     f = p**e * q
     if f.is_zero:
         return
-    model = _squarefree_int_model(f.coeffs)
+    model = squarefree_part(f)
     assert model.leading > 0 and model.is_primitive
     f.divide_exact(model)  # every root of the model is a root of f
     if f.degree >= 1:
         (model ** f.degree).divide_exact(f.primitive())  # and conversely
         assert discriminant(model) != 0  # each root once
-    assert squarefree_part(f) == model.to_rational().monic()
-    assert _squarefree_int_model(f.to_rational().coeffs) == model
+    # the parser-boundary conversion of f has the same model
+    assert squarefree_part(helpers.primitive_of(f.to_rational())) == model
 
 
 def test_cauchy_bound_contains_roots():
-    p = parse_poly("x^2-10x+1")
+    p = helpers.primitive_of(parse_poly("x^2-10x+1"))
     bound = cauchy_bound(p)
     assert sturm_count(p, RationalInterval(-bound, bound)) == 2
 
 
 def test_sturm_count_endpoints():
-    p = parse_poly("x^2-1")
+    p = helpers.primitive_of(parse_poly("x^2-1"))
     assert sturm_count(p, RationalInterval(F(-1), F(1))) == 2  # closed endpoints count
     assert sturm_count(p, RationalInterval(F(-1), F(0))) == 1
     assert sturm_count(p, RationalInterval(F(1), F(1))) == 1
     assert sturm_count(p, RationalInterval(F(-1, 2), F(1, 2))) == 0
-    assert sturm_count(parse_poly("x^2-2"), RationalInterval(F(0), F(2))) == 1
+    sqrt2 = helpers.primitive_of(parse_poly("x^2-2"))
+    assert sturm_count(sqrt2, RationalInterval(F(0), F(2))) == 1
 
 
 wide_rational = st.fractions(min_value=-50, max_value=50, max_denominator=2**70)
@@ -222,7 +202,7 @@ def test_sign_changes_match_fraction_horner(chain, x):
 @settings(max_examples=150, deadline=None)
 def test_integer_sign_at_matches_evaluation(cs, x):
     q = IntegerPoly(tuple(cs))
-    value = q.to_rational().evaluate(x)
+    value = q.evaluate(x)
     assert q.sign_at(x) == (value > 0) - (value < 0)
 
 
@@ -234,9 +214,9 @@ def test_sturm_count_integer_and_rational_agree(p, lo, hi, flags):
     lo, hi = min(lo, hi), max(lo, hi)
     iv = RationalInterval(lo, hi, *flags) if lo < hi else RationalInterval(lo, hi)
     r = p.to_rational()
-    # an IntegerPoly and the equal RationalPoly share one cached model
-    assert sturm_count(p, iv) == sturm_count(r, iv)
-    assert sturm_count(r * F(-2, 3), iv) == sturm_count(p, iv)
+    # the parser-boundary conversion keeps the count, whatever the content
+    assert sturm_count(p, iv) == sturm_count(helpers.primitive_of(r), iv)
+    assert sturm_count(helpers.primitive_of(r * F(-2, 3)), iv) == sturm_count(p, iv)
 
 
 def test_sturm_vs_numeric_and_constructed():
@@ -245,7 +225,7 @@ def test_sturm_vs_numeric_and_constructed():
 
 
 def test_isolate_real_roots_invariants():
-    p = parse_poly("x^4-5x^2+2")
+    p = helpers.primitive_of(parse_poly("x^4-5x^2+2"))
     intervals = isolate_real_roots(p)
     assert len(intervals) == 4
     for prev, cur in zip(intervals, intervals[1:]):
@@ -272,9 +252,9 @@ def test_isolate_real_roots_matches_fraction_oracle(p, q):
 
 
 def test_isolate_rational_roots_become_points():
-    intervals = isolate_real_roots(parse_poly("x^2-3x+2"))
+    intervals = isolate_real_roots(helpers.primitive_of(parse_poly("x^2-3x+2")))
     assert [(iv.lo, iv.is_point) for iv in intervals] == [(F(1), True), (F(2), True)]
-    assert isolate_real_roots(parse_poly("x^2+1")) == ()
+    assert isolate_real_roots(helpers.primitive_of(parse_poly("x^2+1"))) == ()
 
 
 def test_isolate_accepts_integer_poly():
