@@ -145,6 +145,8 @@ class RealAlgebraic:
             return NotImplemented
         if self.minpoly != other.minpoly:
             return False
+        if self.isolation == other.isolation:
+            return True
         shared = self.isolation.intersect(other.isolation)
         if shared is None:
             return False

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .polyring import (
     ConstantPolynomialError,
@@ -32,6 +32,7 @@ __all__ = [
     "euler_phi",
     "moebius",
     "divisors",
+    "moebius_product",
     "cyclotomic_poly",
     "trace_polynomial",
     "is_cyclotomic_product",
@@ -132,6 +133,23 @@ def divisors(n: int):
     return small + large[::-1]
 
 
+def moebius_product(n: int, factor: Callable[[int], IntegerPoly]) -> IntegerPoly:
+    """The product of factor(d)^mu(n/d) over d | n, an exact division in Z[x].
+
+    >>> moebius_product(6, lambda d: IntegerPoly((-1,) + (0,) * (d - 1) + (1,))).coeffs
+    (1, -1, 1)
+    """
+    numerator = IntegerPoly.one()
+    denominator = IntegerPoly.one()
+    for d in divisors(n):
+        mu = moebius(n // d)
+        if mu == 1:
+            numerator = numerator * factor(d)
+        elif mu == -1:
+            denominator = denominator * factor(d)
+    return numerator.divide_exact(denominator)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> IntegerPoly:
     """The n-th cyclotomic polynomial, via prod (x^d - 1)^mu(n/d) over d | n.
@@ -141,18 +159,7 @@ def cyclotomic_poly(n: int) -> IntegerPoly:
     """
     if n < 1:
         raise ValueError("cyclotomic_poly needs n >= 1")
-    numerator = IntegerPoly.one()
-    denominator = IntegerPoly.one()
-    for d in divisors(n):
-        mu = moebius(n // d)
-        if mu == 0:
-            continue
-        block = IntegerPoly((-1,) + (0,) * (d - 1) + (1,))  # x^d - 1
-        if mu == 1:
-            numerator = numerator * block
-        else:
-            denominator = denominator * block
-    return numerator.divide_exact(denominator)
+    return moebius_product(n, lambda d: IntegerPoly((-1,) + (0,) * (d - 1) + (1,)))  # x^d - 1
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .algebraic import RealAlgebraic, affine_transform, sign_at
-from .cyclotomic import divisors, moebius
+from .cyclotomic import divisors, moebius, moebius_product
 from .polyring import (
     IntegerPoly,
     IteratedMapPoly,
@@ -366,17 +366,7 @@ def dynatomic_poly(n: int, c: Rat) -> IntegerPoly:
     if n < 1:
         raise ValueError("n must be at least 1")
     c = Fraction(c)
-    numerator = IntegerPoly.one()
-    denominator = IntegerPoly.one()
-    for k in divisors(n):
-        mu = moebius(n // k)
-        if mu == 0:
-            continue
-        if mu == 1:
-            numerator = numerator * _period_model(k, c)
-        else:
-            denominator = denominator * _period_model(k, c)
-    model = numerator.divide_exact(denominator)
+    model = moebius_product(n, lambda k: _period_model(k, c))
     return IntegerPoly(tuple(h * c.denominator**i for i, h in enumerate(model.coeffs))).primitive()
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -935,7 +936,25 @@ def isolate_real_roots(p: IntegerPoly):
 # canonical rendering of polynomials with negative leading coefficient would
 # not re-parse.
 
+# caps an exponent and the degree of every value the grammar builds
 _MAX_EXPONENT = 4096
+
+
+def check_digits(value: Rat, text: str, position: int, power: int = 1) -> None:
+    """Raise ParseError when value**power has more digits than str() converts.
+
+    Python converts between int and str only up to sys.get_int_max_str_digits()
+    decimal digits (0 lifts the limit), so a longer number could never be
+    reported.  The power is built only when its size alone does not decide:
+    n^e < 2^(b e) for n of b bits, n^e >= 2^((b - 1) e), and
+    2^(3k) < 10^k < 2^(4k).
+    """
+    limit = sys.get_int_max_str_digits()
+    n = max(abs(value.numerator), value.denominator)
+    bits = n.bit_length()
+    if limit and bits * power > 3 * limit:
+        if (bits - 1) * power >= 4 * limit or n**power >= 10**limit:
+            raise ParseError(f"{text!r} has too many digits", position)
 
 
 class _Tokenizer:
@@ -964,10 +983,10 @@ class _Tokenizer:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         digits = self.text[start : self.pos]
-        try:
-            return int(digits), start
-        except ValueError:  # longer than the interpreter converts
-            raise ParseError(f"number {digits!r} has too many digits", start) from None
+        significant = digits.lstrip("0") or "0"
+        # as many digits as 10^(len - 1), checked before int() could refuse it
+        check_digits(10, digits, start, len(significant) - 1)
+        return int(significant), start
 
 
 class _Parser:
@@ -982,8 +1001,17 @@ class _Parser:
             raise ParseError(f"unexpected {ch!r}", pos)
         return poly
 
+    def check(self, start: int, pos: int, degree: int, coeffs, power: int = 1) -> None:
+        """Refuse, at the operator position pos, a degree above _MAX_EXPONENT
+        or a coefficient whose power has too many digits."""
+        text = self.toks.text[start : self.toks.pos].strip()
+        if degree > _MAX_EXPONENT:
+            raise ParseError(f"{text!r} has degree {degree}, above the cap {_MAX_EXPONENT}", pos)
+        for c in coeffs:
+            check_digits(c, text, pos, power)
+
     def parse_expr(self) -> RationalPoly:
-        ch, _ = self.toks.peek()
+        ch, start = self.toks.peek()
         negate = False
         if ch in ("+", "-"):
             self.toks.take()
@@ -992,7 +1020,7 @@ class _Parser:
         if negate:
             acc = -acc
         while True:
-            ch, _ = self.toks.peek()
+            ch, pos = self.toks.peek()
             if ch == "+":
                 self.toks.take()
                 acc = acc + self.parse_term()
@@ -1001,29 +1029,36 @@ class _Parser:
                 acc = acc - self.parse_term()
             else:
                 return acc
+            self.check(start, pos, acc.degree, acc.coeffs)
 
     def parse_term(self) -> RationalPoly:
+        start = self.toks.pos
         acc = self.parse_factor()
         while True:
-            ch, _ = self.toks.peek()
+            ch, pos = self.toks.peek()
             if ch == "*":
                 self.toks.take()
-                acc = acc * self.parse_factor()
-            elif ch is not None and (ch.isdigit() or ch.isalpha() or ch == "("):
-                acc = acc * self.parse_factor()
-            else:
+            elif ch is None or not (ch.isdigit() or ch.isalpha() or ch == "("):
                 return acc
+            acc = acc * self.parse_factor()
+            self.check(start, pos, acc.degree, acc.coeffs)
 
     def parse_factor(self) -> RationalPoly:
+        start = self.toks.pos
         base = self.parse_base()
-        ch, _ = self.toks.peek()
-        if ch == "^":
-            self.toks.take()
-            exponent, pos = self.toks.take_uint()
-            if exponent > _MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}", pos)
-            return base**exponent
-        return base
+        ch, pos = self.toks.peek()
+        if ch != "^":
+            return base
+        self.toks.take()
+        exponent, epos = self.toks.take_uint()
+        if exponent > _MAX_EXPONENT:
+            raise ParseError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}", epos)
+        # the leading and the lowest nonzero coefficient of base^e are their own e-th powers
+        ends = base.coeffs[-1:] + tuple(c for c in base.coeffs if c)[:1]
+        self.check(start, pos, base.degree * exponent, ends, exponent)
+        power = base**exponent
+        self.check(start, pos, power.degree, power.coeffs)
+        return power
 
     def parse_base(self) -> RationalPoly:
         ch, pos = self.toks.peek()

@@ -364,12 +364,3 @@ def test_constant_polynomials_are_refused():
             all_conjugates_in(p, RationalInterval(F(-1), F(1)))
         with pytest.raises(ConstantPolynomialError):
             is_cyclotomic_product(p)
-
-
-def test_doctests():
-    import doctest
-
-    from parabkit import algebraic
-
-    failures, _ = doctest.testmod(algebraic)
-    assert failures == 0

@@ -1,11 +1,15 @@
 """Classification pipelines, JSON reports, and the command line interface."""
 
+import collections
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import time
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -25,8 +29,10 @@ from parabkit.classify import (
     report_from_json,
     report_to_json,
 )
+from parabkit import classify
 from parabkit.classify import _prop2_candidates
 from parabkit.algebraic import NotIsolatingError, from_rational, make_real_algebraic
+from parabkit.dynamics import ParabolicVerdict
 from parabkit.polyring import (
     IntegerPoly,
     ParseError,
@@ -163,6 +169,82 @@ def test_prop2_enclosure_matches_the_fraction_bisection():
 def test_prop2_nmax_too_small_is_a_mismatch():
     with pytest.raises(PipelineMismatchError):
         prop2_pipeline(1)
+
+
+# --- the certificate chain ---
+
+_REPORTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reports")
+
+
+@pytest.mark.parametrize(
+    "name, run",
+    [
+        ("prop1", prop1_pipeline),
+        ("prop2", prop2_pipeline),
+        ("prop1_threshold_1_order_cap_8", lambda: prop1_pipeline(threshold=1, order_cap=8)),
+    ],
+)
+def test_report_bytes_are_pinned(name, run):
+    # the stored reports were written by the literal-dispatch pipelines that
+    # the certificate chains replaced; only runtime_ms may differ
+    report = run()
+    report = dataclasses.replace(report, environment=Environment(report.environment.nmax, 0))
+    with open(os.path.join(_REPORTS, f"{name}.json")) as fh:
+        assert report_to_json(report) + "\n" == fh.read()
+
+
+def test_prop2_certificate_calls(monkeypatch):
+    calls = collections.Counter()
+    for name in (
+        "certify_attracting_cycle",
+        "is_parabolic_up_to",
+        "parity_certificate",
+        "verify_cycle",
+        "is_pcf_rational",
+    ):
+        def counting(*args, _name=name, _original=getattr(classify, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(classify, name, counting)
+    prop2_pipeline()
+    assert calls == {
+        "certify_attracting_cycle": 1,
+        "is_parabolic_up_to": 5,
+        "parity_certificate": 5,
+        "verify_cycle": 4,
+        "is_pcf_rational": 1,
+    }
+
+
+def test_prop2_refuses_an_invalid_parity_certificate(monkeypatch):
+    monkeypatch.setattr(classify, "parity_certificate", lambda n: types.SimpleNamespace(is_valid=False))
+    with pytest.raises(PipelineMismatchError, match="parity certificate failed at n=1"):
+        prop2_pipeline()
+
+
+def test_prop2_refuses_a_wrong_vanishing_index(monkeypatch):
+    g, n, lam, _ = classify._PARABOLIC_CYCLES[F(-5, 4)]
+    monkeypatch.setitem(classify._PARABOLIC_CYCLES, F(-5, 4), (g, n, lam, 2))
+    with pytest.raises(PipelineMismatchError, match=r"-5/4 verdict Parabolic\(4\), expected Parabolic\(2\)"):
+        prop2_pipeline()
+
+
+def test_prop2_refuses_an_unplaced_candidate(monkeypatch):
+    monkeypatch.setattr(classify, "_ATTRACTING_CYCLES", {})
+    with pytest.raises(PipelineMismatchError, match="unplaced candidate 16x\\^2\\+52x\\+41"):
+        prop2_pipeline()
+
+
+def test_prop2_refuses_a_vanishing_pn_at_minus_two(monkeypatch):
+    original = classify.is_parabolic_up_to
+
+    def vanishing_at_minus_two(c, nmax):
+        return ParabolicVerdict("parabolic", 3) if c == -2 else original(c, nmax)
+
+    monkeypatch.setattr(classify, "is_parabolic_up_to", vanishing_at_minus_two)
+    with pytest.raises(PipelineMismatchError, match=r"P_3\(-8\) vanished"):
+        prop2_pipeline()
 
 
 # --- reports ---
@@ -448,6 +530,25 @@ def test_cli_usage_errors():
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert run_cli(*argv)[0] == 2, argv[:3]
+        assert quoted in err.getvalue(), argv[:3]
+        assert "Exceeds the limit" not in err.getvalue(), argv[:3]
+    # so are values that short literals build, at the operator that builds
+    # them and before a power is computed
+    for argv, quoted in (
+        (("isolate", "--poly", "x-(10^4096)^2"), "'(10^4096)^2' has too many digits (at position 11)"),
+        (("classify", "--c", "x-(10^4096)^2@[0,1]"), "'(10^4096)^2' has too many digits"),
+        (("kronecker", "--poly", "x^2-(10^4096)^2"), "'(10^4096)^2' has too many digits"),
+        (("isolate", "--poly", "((10^100)^100)^100-x"), "'(10^100)^100' has too many digits (at position 9)"),
+        (("totally-real", "--poly", "(x^4096+1)^64"), "degree 262144, above the cap 4096 (at position 10)"),
+        (("isolate", "--poly", "(x^2+10^1000x+1)^5"), "'(x^2+10^1000x+1)^5' has too many digits (at position 16)"),
+        (("isolate", "--poly", "(10^4000)(10^4000)-x"), "'(10^4000)(10^4000)' has too many digits (at position 9)"),
+        (("isolate", "--poly", "9" * 4300 + "+1-x"), "has too many digits (at position 4300)"),
+    ):
+        err = io.StringIO()
+        start = time.monotonic()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(*argv)[0] == 2, argv[:3]
+        assert time.monotonic() - start < 1, argv[:3]
         assert quoted in err.getvalue(), argv[:3]
         assert "Exceeds the limit" not in err.getvalue(), argv[:3]
 

@@ -124,12 +124,3 @@ def test_order_set_behavior():
     assert list(orders) == [2, 3, 4]
     assert len(orders) == 3
     assert str(orders) == "{2, 3, 4}"
-
-
-def test_doctests():
-    import doctest
-
-    from parabkit import cyclotomic
-
-    failures, _ = doctest.testmod(cyclotomic)
-    assert failures == 0

@@ -495,12 +495,3 @@ def test_numeric_certificate_guards():
     for a, b in ((F(-11, 10), 0), (0, F(11, 10)), (F(1, 2), F(1, 2)), (F(1, 2), 0)):
         with pytest.raises(ValueError):
             certify_attracting_cycle(F(-1), 2, a, b)
-
-
-def test_doctests():
-    import doctest
-
-    from parabkit import dynamics
-
-    failures, _ = doctest.testmod(dynamics)
-    assert failures == 0

@@ -307,12 +307,3 @@ def test_format_parse_roundtrip(data):
 
 def test_parser_roundtrip_family():
     helpers.check_parser_roundtrip(cases=60)
-
-
-def test_doctests():
-    import doctest
-
-    from parabkit import polyring
-
-    failures, _ = doctest.testmod(polyring)
-    assert failures == 0
