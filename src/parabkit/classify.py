@@ -555,6 +555,9 @@ def _run_totally_real(args) -> int:
 def _run_isolate(args) -> int:
     _, prim = content_and_primitive(parse_poly(args.poly))
     intervals = isolate_real_roots(prim)
+    for iv in intervals:
+        for end in (iv.lo, iv.hi):
+            check_digits(end, f"an isolating interval endpoint of {args.poly}", 0)
     if args.json:
         _emit_json(
             args,

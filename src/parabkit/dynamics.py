@@ -3,7 +3,8 @@
 Symbolic iterates and period polynomials live in ``IteratedMapPoly`` (monic in
 z over Z[c]).  From those this module derives the discriminant polynomials
 P_n(b), defined by disc_z(f_c^n(z) - z) = P_n(4c), for ``pn`` and for an
-algebraic parameter.  At a rational parameter c = a/d every question about
+algebraic parameter whose modular witness of P_n(4c) != 0 fails (see
+``is_parabolic_up_to``).  At a rational parameter c = a/d every question about
 f_c^n(z) - z goes to one cached integer model, G(w) = d^(2^n) (f_c^n(w/d) -
 w/d), monic in Z[w]: ``point_discriminant`` gives the value P_n(4c) as its
 discriminant and builds no P_n (the bounded parabolicity search and the
@@ -19,6 +20,8 @@ Everything is exact integer or rational arithmetic; nothing rounds.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +38,10 @@ from .polyring import (
     discriminant,
     discriminant_in_z,
     _IPOLY_RING,
+    _fp_cubic_root,
+    _fp_gcd,
+    _fp_mul,
+    _fp_trim,
     _prem,
 )
 
@@ -78,6 +85,17 @@ ESCAPE_BUDGET = 1000
 # bounded orbit exhausts memory long before any plausible iteration budget.
 # The guard turns that into a clean UnresolvedError.
 _ESCAPE_BIT_GUARD = 65536
+
+# Primes for the modular witnesses of P_n(4c) != 0 at an algebraic c: the 32
+# largest p = 3 (mod 4) below 2^30, so that a product of two residues fits in
+# two CPython digits.  Tried in this order.
+_WITNESS_PRIMES = (
+    1073741783, 1073741723, 1073741719, 1073741671, 1073741663, 1073741651, 1073741567,
+    1073741527, 1073741503, 1073741467, 1073741419, 1073741399, 1073741387, 1073741371,
+    1073741311, 1073741287, 1073741047, 1073740963, 1073740951, 1073740879, 1073740847,
+    1073740819, 1073740807, 1073740783, 1073740691, 1073740571, 1073740567, 1073740543,
+    1073740523, 1073740463, 1073740439, 1073740403,
+)
 
 
 class CapExceededError(ParabkitError):
@@ -504,24 +522,97 @@ def real_behavior(c: Rat) -> RealBehavior:
     return RealBehavior(CORE_BOUNDED_UNRESOLVED)
 
 
+def _witness_root(m: IntegerPoly):
+    """(p, r) with p in _WITNESS_PRIMES and m(r) = 0 mod p, for a certified irreducible m.
+
+    Irreducibility is certified, never assumed, because a caller may pass a
+    reducible squarefree m: a quadratic is reducible exactly when its
+    discriminant is a square.  A reducible cubic has a rational root k/j with
+    j | lc(m), and that reduces to a root of m mod every prime p not dividing
+    lc(m), so a prime at which m has no root, gcd(x^p - x, m) = 1 over F_p,
+    certifies a cubic.  Degree 4 and up gets no certificate.  Only primes not
+    dividing lc(m) are used; the search over _WITNESS_PRIMES is deterministic
+    and returns None when it finds no certificate or no root.  The quadratic
+    roots (-c1 +- s)/(2 c2) need s^2 = disc mod p; for p = 3 (mod 4) that
+    is s = disc^((p+1)/4) when disc is a square mod p, which s^2 confirms.
+    """
+    if m.degree == 2:
+        c0, c1, c2 = m.coeffs
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+            return None
+        for p in _WITNESS_PRIMES:
+            if c2 % p:
+                s = pow(disc, (p + 1) // 4, p)
+                if s * s % p == disc % p:
+                    return p, (s - c1) * pow(2 * c2, -1, p) % p
+        return None
+    if m.degree != 3:
+        return None
+    certified, root = False, None
+    for p in _WITNESS_PRIMES:
+        if m.leading % p == 0:
+            continue
+        has_root, r = _fp_cubic_root([c % p for c in m.coeffs], p)
+        certified = certified or not has_root
+        if root is None and r is not None:
+            root = p, r
+        if certified and root is not None:
+            return root
+    return None
+
+
+def _witness_flags(p: int, r: int):
+    """For n = 1, 2, ...: whether gcd(G, G') = 1 over F_p for G(w) = f_r^n(w) - w.
+
+    G = W_n - w with W_1 = w^2 + r and W_(k+1) = W_k^2 + r, the model of
+    ``_period_model`` with d = 1, is monic of degree 2^n.
+    """
+    w = [r % p, 0, 1]
+    while True:
+        g = list(w)
+        g[1] = (g[1] - 1) % p
+        yield len(_fp_gcd(g, _fp_trim([i * a % p for i, a in enumerate(g)][1:]), p)) == 1
+        w = _fp_mul(w, w, p)
+        w[0] = (w[0] + r) % p
+
+
 def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerdict:
     """Search for the least n <= nmax with P_n(4c) = 0.
 
     A rational c is tested by point_discriminant(n, c) == 0, which builds no
-    P_n.  An irrational c keeps the bivariate P_n: its sign at b = 4c comes
-    from the exact oracle ``algebraic.sign_at`` on the cached P_n, the
-    cheapest exact route in a warm process, and a point evaluation at an
-    algebraic c (a witness modulo a prime, say) would have to beat it first.
+    P_n.  At an irrational c = alpha with minimal polynomial m, a witness
+    modulo a prime proves P_n(4 alpha) != 0 first.  Let m be irreducible,
+    p a prime not dividing lc(m) and r a root of m mod p.  ``_witness_root``
+    certifies irreducibility: a quadratic by a non-square discriminant, a
+    cubic by a prime not dividing lc(m) at which it has no root, since a
+    reducible cubic has a rational root and that reduces to a root mod every
+    such prime.  Then x -> r is a ring map Z[1/lc(m)][x]/(m) -> F_p,
+    and by Gauss's lemma the left side is Z[1/lc(m)][alpha].  It sends
+    P_n(4 alpha) to P_n(4r) mod p.  P_n(4x) = disc_z(f_x^n(z) - z) is the
+    discriminant of a polynomial monic in z, so it commutes with the map:
+    P_n(4r) = disc(G) over F_p for G(w) = f_r^n(w) - w, monic of degree
+    2^n.  gcd(G, G') = 1 over F_p makes disc(G) nonzero, hence
+    P_n(4 alpha) != 0.  Where there is no witness (no certificate, no
+    usable prime, degree 4 and up) or its residue is zero, the exact route
+    decides: the sign of the cached bivariate P_n at b = 4 alpha by
+    ``algebraic.sign_at``, which finds a true zero by one gcd.  So a
+    "parabolic" verdict always comes from the exact route, and P_n is built
+    only for an n whose witness residue is zero.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     if nmax > DISCRIMINANT_CAP:
         raise CapExceededError(f"discriminant cap is {DISCRIMINANT_CAP}, got nmax={nmax}")
     if isinstance(c, RealAlgebraic) and not c.is_rational:
-        b_point = affine_transform(c, 4, 0)
+        witness = _witness_root(c.minpoly)
+        witnessed = _witness_flags(*witness) if witness else itertools.repeat(False)
 
         def vanishes(n: int) -> bool:
-            return sign_at(discriminant_Pn(n), b_point) == 0
+            # one flag per call: the loop below asks for n = 1, 2, ... in order
+            if next(witnessed):
+                return False
+            return sign_at(discriminant_Pn(n), affine_transform(c, 4, 0)) == 0
 
     else:
         q = c.to_rational() if isinstance(c, RealAlgebraic) else Fraction(c)

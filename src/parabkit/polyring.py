@@ -18,7 +18,9 @@ holds one root, then narrows it by one integer bisection kernel
 denominator and each halving takes one sign, with no root count; the
 real-algebraic layer refines through the same kernel. The sign of an
 integer polynomial at a rational a/b is always taken as the sign of
-b^deg * q(a/b), in integers (``IntegerPoly.sign_at``).
+b^deg * q(a/b), in integers (``IntegerPoly.sign_at``).  Private helpers
+(``_fp_*``) do the arithmetic of polynomials over F_p, as lists of residues,
+for the modular witnesses in ``dynamics``.
 """
 from __future__ import annotations
 
@@ -676,6 +678,111 @@ def discriminant_in_z(P: IteratedMapPoly) -> IntegerPoly:
     res = resultant_in_z(P, P.derivative_z())
     signed = res if _disc_sign(d) == 1 else -res
     return signed.divide_exact(P.leading_in_z)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_p: lists of residues mod a prime p, low to high, with no
+# trailing zero (the zero polynomial is the empty list)
+
+
+def _fp_trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_mul(a: list, b: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _fp_trim([v % p for v in out])
+
+
+def _fp_rem(a: list, b: list, p: int) -> list:
+    # a mod b for b nonzero, cancelling the top coefficient of a against b
+    # until the degree is below deg b; no quotient is kept
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    r = list(a)
+    for top in range(len(r) - 1, db - 1, -1):
+        q = r[top] * inv % p
+        if q:
+            r[top - db : top] = [(u - q * v) % p for u, v in zip(r[top - db : top], low)]
+    return _fp_trim(r[:db])
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """A gcd of a and b over F_p (not made monic); its degree is len - 1."""
+    while b:
+        a, b = b, _fp_rem(a, b, p)
+    return a
+
+
+def _fp_sub(a: list, b: list, p: int) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % p
+    return _fp_trim(out)
+
+
+def _fp_cubic_power(delta: int, e: int, m: list, p: int) -> list:
+    # (x + delta)^e mod the monic cubic m, squaring from the top bit down;
+    # x^3 = t0 + t1 x + t2 x^2 and x^4 = u0 + u1 x + u2 x^2 reduce a square
+    t0, t1, t2 = (-c % p for c in m[:3])
+    u0, u1, u2 = t2 * t0 % p, (t0 + t2 * t1) % p, (t1 + t2 * t2) % p
+    a0, a1, a2 = 1, 0, 0
+    for bit in bin(e)[2:]:
+        s3, s4 = 2 * a1 * a2 % p, a2 * a2 % p
+        a0, a1, a2 = (
+            (a0 * a0 + s3 * t0 + s4 * u0) % p,
+            (2 * a0 * a1 + s3 * t1 + s4 * u1) % p,
+            (a1 * a1 + 2 * a0 * a2 + s3 * t2 + s4 * u2) % p,
+        )
+        if bit == "1":
+            a0, a1, a2 = (
+                (delta * a0 + a2 * t0) % p,
+                (a0 + delta * a1 + a2 * t1) % p,
+                (a1 + delta * a2 + a2 * t2) % p,
+            )
+    return _fp_trim([a0, a1, a2])
+
+
+# shifts tried when splitting a cubic with three roots mod p
+_SPLIT_TRIES = 16
+
+
+def _fp_cubic_root(m: list, p: int):
+    """(has_root, r) for a cubic m over F_p with lc(m) != 0 mod p.
+
+    has_root is False exactly when gcd(x^p - x, m) = 1, that is when m has
+    no root in F_p; r is then None.  Otherwise r is one root, or None when
+    m has a repeated root or _SPLIT_TRIES shifts did not split it.  Three
+    distinct roots are split by gcd((x + delta)^((p-1)/2) - 1, m), which
+    keeps the roots r with r + delta a nonzero square, for the shifts
+    delta = 0, 1, ... in turn.  A factor h of degree 2 leaves the third
+    root: the roots of monic m sum to -m_2, and those of h to -h_1/h_2.
+    """
+    inv = pow(m[3], -1, p)
+    m = [c * inv % p for c in m]
+    linear = _fp_gcd(m, _fp_sub(_fp_cubic_power(0, p, m, p), [0, 1], p), p)
+    if len(linear) == 1:
+        return False, None
+    if len(linear) == 2:
+        return True, -linear[0] * pow(linear[1], -1, p) % p
+    if len(linear) == 4:
+        for delta in range(min(_SPLIT_TRIES, p)):
+            h = _fp_gcd(m, _fp_sub(_fp_cubic_power(delta, (p - 1) // 2, m, p), [1], p), p)
+            if len(h) in (2, 3):
+                inv = pow(h[-1], -1, p)
+                if len(h) == 2:
+                    return True, -h[0] * inv % p
+                return True, (h[1] * inv - m[2]) % p
+    return True, None
 
 
 # ---------------------------------------------------------------------------

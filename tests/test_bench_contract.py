@@ -1,0 +1,63 @@
+"""What the benchmark in perfbench/ needs from the package.
+
+perfbench/ drives parabkit from outside.  Its tracer wraps every name that
+the five layers list in ``__all__``, plus IntegerPoly and RealAlgebraic
+methods looked up in the class ``__dict__``; its count-prs mode counts each
+P_n build through the module attribute ``polyring.resultant_in_z``.  If one
+of these breaks, a benchmark run crashes or reports no PRS metrics, so the
+test runs them in a fresh process.  It reads perfbench/ and changes nothing
+there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PROBE = """
+import contextlib, importlib, io, json, sys
+sys.path.insert(0, "perfbench")
+import run, tracer, worker
+
+missing = [
+    f"{layer}.{name}"
+    for layer in tracer.LAYERS
+    for name in importlib.import_module(f"parabkit.{layer}").__all__
+    if not hasattr(importlib.import_module(f"parabkit.{layer}"), name)
+]
+from parabkit import classify
+original = classify.cli_main
+spans = tracer.Tracer()
+spans.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = classify.cli_main(["classify", "--c", "16x^2+52x+41@[-3/2,-1]", "--json"])
+spans.uninstall()
+spans.fold()
+print(json.dumps({
+    "missing": missing,
+    "code": code,
+    "traced": sorted(spans.summary()["totals"]),
+    "restored": classify.cli_main is original,
+    "prs": worker.count_prs(),
+    "fields": list(run.PRS_FIELDS),
+}))
+"""
+
+
+def test_perfbench_runs_against_the_package():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.strip().splitlines()[-1])
+    assert out["missing"] == []
+    assert out["code"] == 0 and out["restored"]
+    assert {"classify.cli_main", "dynamics.is_parabolic_up_to", "algebraic.make_real_algebraic"} <= set(
+        out["traced"]
+    )
+    assert sorted(out["prs"]) == ["1", "2", "3", "4", "5"]
+    for n, fields in out["prs"].items():
+        assert set(out["fields"]) <= set(fields), n

@@ -424,6 +424,44 @@ def test_fresh_prop2_builds_no_pn():
     assert result.stdout.split("\n")[:2] == ["0 0", "1 1"]
 
 
+@pytest.mark.parametrize(
+    "parameter, expected, built",
+    [
+        # modular witnesses prove P_1..P_5 nonzero: no P_n is built
+        ("16x^2+52x+41@[-3/2,-1]", "NotUpToBound(5)", "0 0 []"),
+        ("x^2+14x+8@[-3/4,-1/2]", "NotUpToBound(5)", "0 0 []"),
+        # P_4(4c) = 0 at the cubic control: only the zero residue at n = 4
+        # sends it to the exact route, which builds P_4 alone
+        ("64x^3+144x^2+108x+135@[-2,-15/8]", "Parabolic(4)", "1 1 [4]"),
+    ],
+)
+def test_fresh_classify_builds_pn_only_for_zero_residues(parameter, expected, built):
+    import parabkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from parabkit import dynamics, polyring\n"
+        "calls = []\n"
+        "original = polyring.resultant_in_z\n"
+        "polyring.resultant_in_z = lambda *args: calls.append(1) or original(*args)\n"
+        "built = []\n"
+        "pn = dynamics.discriminant_Pn\n"
+        "dynamics.discriminant_Pn = lambda n: built.append(n) or pn(n)\n"
+        "from parabkit.classify import cli_main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli_main(['classify', '--c', sys.argv[1], '--json'])\n"
+        "print(code, json.loads(out.getvalue())['parabolic'])\n"
+        "print(dynamics._pn.cache_info().currsize, len(calls), built)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, parameter], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == [f"0 {expected}", built]
+
+
 def test_fresh_pipelines_build_no_rational_poly():
     # RationalPoly is the parser's output type only: the pipelines and the
     # P_n sign at an algebraic parameter construct none; parse_parameter,
@@ -526,6 +564,8 @@ def test_cli_usage_errors():
         (("classify", "--c", "x^2-2@[1,1e5000]"), "'1e5000'"),
         (("classify", "--c", "x^2-2@[-1e5000,-1]"), "'-1e5000'"),
         (("isolate", "--poly", f"x-{long_literal}"), f"'{long_literal}' has too many digits (at position 2)"),
+        # a printable coefficient whose isolating interval is not printable
+        (("isolate", "--poly", "9" * 4300 + "-x"), f"'an isolating interval endpoint of {'9' * 4300}-x'"),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -1,5 +1,6 @@
 """Iterates, discriminant polynomials, cycles, orbits, and multiplier certificates."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -32,7 +33,8 @@ from parabkit.dynamics import (
     real_behavior,
     verify_cycle,
 )
-from parabkit.algebraic import make_real_algebraic
+from parabkit.algebraic import affine_transform, make_real_algebraic, sign_at
+from parabkit.classify import parse_parameter
 from parabkit.polyring import (
     IntegerPoly,
     RationalPoly,
@@ -367,6 +369,147 @@ def test_is_parabolic_up_to_algebraic_and_cap():
     assert str(is_parabolic_up_to(_candidate_high(), 5)) == "NotUpToBound(5)"
     with pytest.raises(CapExceededError):
         is_parabolic_up_to(F(1, 4), 6)
+
+
+# ---------------------------------------------------------------------------
+# modular witnesses for P_n(4 alpha) != 0 at an irrational alpha
+
+# parameters with a parabolic cycle, rational and the irrational root of the
+# cubic factor of P_4(4c), and the PCF parameters in [-2, 1/4]
+_NEAR_CENTRES = (F(1, 4), F(-3, 4), F(-5, 4), F(-7, 4), F(-1941, 1000), F(-2), F(-1), F(0))
+_CUBIC_CONTROL = IntegerPoly((135, 108, 144, 64))  # P_4(4c) = 0 at its real root
+
+
+def _exact_zeros(alpha):
+    # the exact route: the sign of the bivariate P_n at b = 4 alpha
+    b = affine_transform(alpha, 4, 0)
+    return [sign_at(discriminant_Pn(n), b) == 0 for n in range(1, 6)]
+
+
+def _exact_verdict(alpha):
+    zeros = _exact_zeros(alpha)
+    return f"Parabolic({zeros.index(True) + 1})" if True in zeros else "NotUpToBound(5)"
+
+
+def _core_irrational_roots(m):
+    roots = (make_real_algebraic(m, iv) for iv in isolate_real_roots(m))
+    return [a for a in roots if not a.is_rational and not (a < -2 or a > F(1, 4))]
+
+
+def _residue(poly, x, p):
+    return sum(c * pow(x, i, p) for i, c in enumerate(poly.coeffs)) % p
+
+
+@st.composite
+def _witness_minpolys(draw):
+    """Irreducible-or-not quadratics and cubics, many with a root close to a
+    parabolic or PCF parameter: (Dx - A)^k - e has the roots A/D + (e)^(1/k)/D."""
+    kind = draw(st.sampled_from(("random", "near", "near", "control")))
+    degree = draw(st.sampled_from((2, 3)))
+    if kind == "random":
+        coeffs = draw(st.lists(st.integers(-64, 64), min_size=degree + 1, max_size=degree + 1))
+        return IntegerPoly(tuple(coeffs[:-1]) + (draw(st.integers(1, 64)),))
+    if kind == "control":
+        return _CUBIC_CONTROL + IntegerPoly.constant(draw(st.integers(-40, 40)))
+    centre = draw(st.sampled_from(_NEAR_CENTRES))
+    scale = draw(st.sampled_from((1, 3, 10, 1000, 10**6)))
+    A, D = centre.numerator * scale, centre.denominator * scale
+    e = draw(st.integers(-30, 30).filter(bool))
+    return IntegerPoly((-A, D)) ** degree - IntegerPoly.constant(e)
+
+
+@given(_witness_minpolys())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_witness_verdicts_equal_the_exact_route(m):
+    # Wherever a witness exists, its root is a root of m mod p with p not
+    # dividing lc(m), each flag says whether P_n(4r) mod p (read off the
+    # bivariate P_n) is nonzero, a nonzero flag never meets an exact zero,
+    # and the verdict is the exact route's.
+    if m.degree < 2 or squarefree_part(m).degree != m.degree:
+        return
+    for alpha in _core_irrational_roots(m):
+        zeros = _exact_zeros(alpha)
+        witness = dynamics._witness_root(alpha.minpoly)
+        if witness is not None:
+            p, r = witness
+            assert alpha.minpoly.leading % p and _residue(alpha.minpoly, r, p) == 0
+            flags = list(itertools.islice(dynamics._witness_flags(p, r), 5))
+            for n, (flag, zero) in enumerate(zip(flags, zeros), start=1):
+                assert flag == (_residue(discriminant_Pn(n), 4 * r, p) != 0)
+                assert not (flag and zero)
+        assert str(is_parabolic_up_to(alpha, 5)) == _exact_verdict(alpha)
+
+
+def test_witness_keeps_the_parabolic_controls():
+    cubic = parse_parameter("64x^3+144x^2+108x+135@[-2,-15/8]")
+    quartic = parse_parameter("(64x^3+144x^2+108x+135)(2x+1)@[-2,-15/8]")
+    assert quartic.degree == 4 and dynamics._witness_root(quartic.minpoly) is None
+    assert dynamics._witness_root(cubic.minpoly) is not None
+    for alpha in (cubic, quartic):
+        assert str(is_parabolic_up_to(alpha, 5)) == "Parabolic(4)" == _exact_verdict(alpha)
+
+
+def test_reducible_cubic_takes_the_exact_route(monkeypatch):
+    alpha = parse_parameter("(2x+1)(x^2-3)@[-7/4,-3/2]")
+    assert alpha.degree == 3 and dynamics._witness_root(alpha.minpoly) is None
+    built = []
+    monkeypatch.setattr(dynamics, "discriminant_Pn", lambda n: built.append(n) or discriminant_Pn(n))
+    assert str(is_parabolic_up_to(alpha, 5)) == "NotUpToBound(5)" == _exact_verdict(alpha)
+    assert built == [1, 2, 3, 4, 5]
+
+
+@given(
+    st.integers(-20, 20),
+    st.integers(1, 20),
+    st.lists(st.integers(-20, 20), min_size=3, max_size=3).filter(lambda q: q[2] != 0),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_reducible_quadratics_and_cubics_get_no_certificate(a, b, q):
+    # a root k/j of m reduces to a root mod every p not dividing j, so no
+    # tuple prime can certify a cubic with a rational root; a quadratic with
+    # two rational roots has a square discriminant
+    linear = IntegerPoly((a, b))
+    assert dynamics._witness_root(linear * IntegerPoly(tuple(q))) is None
+    assert dynamics._witness_root(linear * IntegerPoly((q[0], q[2]))) is None
+
+
+def test_tiny_primes_keep_every_answer_exact(monkeypatch):
+    # Mod 3 and 7 residues vanish often by accident; each such n goes to the
+    # exact route, so the verdicts stay those of the exact route.
+    rng = random.Random(12)
+    monkeypatch.setattr(dynamics, "_WITNESS_PRIMES", (3, 7))
+    false_zeros = witnessed = 0
+    for _ in range(60):
+        m = IntegerPoly(tuple(rng.randint(-40, 40) for _ in range(rng.choice((2, 3)))) + (rng.randint(1, 40),))
+        if squarefree_part(m).degree != m.degree:
+            continue
+        for alpha in _core_irrational_roots(m):
+            zeros = _exact_zeros(alpha)
+            witness = dynamics._witness_root(alpha.minpoly)
+            if witness is not None:
+                witnessed += 1
+                flags = itertools.islice(dynamics._witness_flags(*witness), 5)
+                false_zeros += sum(not flag and not zero for flag, zero in zip(flags, zeros))
+            assert str(is_parabolic_up_to(alpha, 5)) == _exact_verdict(alpha)
+    assert witnessed > 10 and false_zeros > 0
+
+
+def test_leading_coefficient_divisible_by_every_prime_falls_back():
+    lead = 1
+    for p in dynamics._WITNESS_PRIMES:
+        lead *= p
+    for m in (IntegerPoly((-1, 0, lead)), IntegerPoly((2, 0, 0, lead))):
+        assert dynamics._witness_root(m) is None
+        for alpha in _core_irrational_roots(m):
+            assert str(is_parabolic_up_to(alpha, 5)) == "NotUpToBound(5)" == _exact_verdict(alpha)
+
+
+def test_witness_primes():
+    import sympy
+
+    primes = dynamics._WITNESS_PRIMES
+    assert len(primes) == len(set(primes)) == 32
+    assert all(sympy.isprime(p) and p % 4 == 3 and p < 2**30 for p in primes)
 
 
 def _in_c(*texts):
