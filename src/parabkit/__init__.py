@@ -2,8 +2,8 @@
 
 The package is organized in layers.  ``polyring`` provides exact polynomial
 arithmetic (integer polynomials, resultants via subresultants, Sturm
-counting, root isolation, a small expression grammar whose rational output
-is converted to integers once).  ``cyclotomic`` adds cyclotomic and trace
+counting, root isolation, a small expression grammar parsed in integers to
+a primitive integer polynomial).  ``cyclotomic`` adds cyclotomic and trace
 polynomials with a Kronecker-style root-of-unity test.  ``algebraic`` wraps
 isolated real algebraic numbers with exact comparison and sign evaluation.
 ``dynamics`` studies iteration of f_c(z) = z^2 + c: discriminant polynomials
@@ -21,11 +21,9 @@ from .polyring import (
     ParabkitError,
     ParseError,
     RationalInterval,
-    RationalPoly,
     UnknownVariableError,
     ZeroPolynomialError,
     cauchy_bound,
-    content_and_primitive,
     discriminant,
     discriminant_in_z,
     format_poly,

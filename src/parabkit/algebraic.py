@@ -175,6 +175,8 @@ class RealAlgebraic:
         return (ia.lo, ia.hi) < (ib.lo, ib.hi)
 
     def __le__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self._compare_rational(other) <= 0
         return self == other or self < other
 
     def __gt__(self, other) -> bool:

@@ -62,7 +62,6 @@ from .polyring import (
     RationalInterval,
     ZeroPolynomialError,
     check_digits,
-    content_and_primitive,
     format_poly,
     isolate_real_roots,
     parse_poly,
@@ -429,8 +428,7 @@ def parse_parameter(text: str) -> RealAlgebraic:
         raise ParseError(f"bad interval endpoint in {text!r}", 0) from exc
     check_digits(lo, lo_text.strip(), 0)
     check_digits(hi, hi_text.strip(), 0)
-    _, prim = content_and_primitive(parse_poly(poly_text))
-    return make_real_algebraic(prim, RationalInterval(lo, hi))
+    return make_real_algebraic(parse_poly(poly_text), RationalInterval(lo, hi))
 
 
 _USAGE_ERRORS = (
@@ -496,8 +494,7 @@ def _run_pn(args) -> int:
 
 
 def _run_kronecker(args) -> int:
-    _, prim = content_and_primitive(parse_poly(args.poly))
-    witness = is_cyclotomic_product(prim)
+    witness = is_cyclotomic_product(parse_poly(args.poly))
     if args.json:
         _emit_json(args, {"is_product": witness.is_product, "orders": list(witness.orders)})
     elif witness.is_product:
@@ -532,7 +529,7 @@ def _run_classify(args) -> int:
 
 def _run_multiplier(args) -> int:
     c = _parse_rational(args.c)
-    _, g = content_and_primitive(parse_poly(args.cycle_poly))
+    g = parse_poly(args.cycle_poly)
     lam = cycle_multiplier(g, args.period)
     verify_cycle(c, g, args.period, lam)
     if args.json:
@@ -543,8 +540,7 @@ def _run_multiplier(args) -> int:
 
 
 def _run_totally_real(args) -> int:
-    _, prim = content_and_primitive(parse_poly(args.poly))
-    answer = is_totally_real(prim)
+    answer = is_totally_real(parse_poly(args.poly))
     if args.json:
         _emit_json(args, {"totally_real": answer})
     else:
@@ -553,8 +549,7 @@ def _run_totally_real(args) -> int:
 
 
 def _run_isolate(args) -> int:
-    _, prim = content_and_primitive(parse_poly(args.poly))
-    intervals = isolate_real_roots(prim)
+    intervals = isolate_real_roots(parse_poly(args.poly))
     for iv in intervals:
         for end in (iv.lo, iv.hi):
             check_digits(end, f"an isolating interval endpoint of {args.poly}", 0)

@@ -160,6 +160,17 @@ PARABOLIC_LANDMARK = "ParabolicLandmark"
 POSTCRITICALLY_FINITE = "PostcriticallyFinite"
 CORE_BOUNDED_UNRESOLVED = "CoreBoundedUnresolved"
 
+# The parabolic landmarks of the real line, ascending, each with the period
+# and multiplier root order of its parabolic cycle and the tag of the Fatou
+# window that ends there: on that open interval from the landmark before,
+# the named cycle attracts, so f_c has no parabolic cycle (proof in
+# is_parabolic_up_to).
+_LANDMARKS = (
+    (Fraction(-5, 4), (2, 2), None),
+    (Fraction(-3, 4), (1, 2), ATTRACTING_TWO_CYCLE),
+    (Fraction(1, 4), (1, 1), ATTRACTING_FIXED_POINT),
+)
+
 
 @dataclass(frozen=True, slots=True)
 class ParityCertificate:
@@ -493,29 +504,37 @@ def escapes(c: Rat, budget: int = ESCAPE_BUDGET) -> bool:
     raise UnresolvedError(f"orbit of {c} undecided within {budget} iterations")
 
 
+def _window_tag(c) -> Union[str, None]:
+    """The tag of the Fatou window strictly containing c, or None.
+
+    c is an int, a Fraction or a RealAlgebraic; each endpoint comparison is
+    one exact comparison with a Fraction.
+    """
+    for (lo, _, _), (hi, _, tag) in zip(_LANDMARKS, _LANDMARKS[1:]):
+        if lo < c < hi:
+            return tag
+    return None
+
+
 def real_behavior(c: Rat) -> RealBehavior:
     """Classify the real critical orbit of f_c by exact rational comparisons.
 
-    No simulation is involved: the attracting ranges come from the exact
-    fixed-point multiplier 1 - sqrt(1 - 4c) being inside the unit interval
-    for -3/4 < c < 1/4 and the two-cycle multiplier 4(c + 1) doing so for
-    -5/4 < c < -3/4; the three interior parabolic landmarks are matched
-    literally; what remains of [-2, 1/4] is settled by the exact orbit test
-    when possible.
+    No simulation is involved.  The landmarks -5/4, -3/4 and 1/4 are
+    matched literally, and between them lie the Fatou windows, where the
+    exact fixed-point multiplier 1 - sqrt(1 - 4c) (on -3/4 < c < 1/4) or
+    two-cycle multiplier 4(c + 1) (on -5/4 < c < -3/4) is inside (-1, 1);
+    both come from the table is_parabolic_up_to reads.  What remains of
+    [-2, 1/4] is settled by the exact orbit test when possible.
     """
     c = Fraction(c)
-    if c < -2 or c > Fraction(1, 4):
+    if c < -2 or c > _LANDMARKS[-1][0]:
         return RealBehavior(ESCAPES_TO_INFINITY)
-    if c == Fraction(1, 4):
-        return RealBehavior(PARABOLIC_LANDMARK, (1, 1))
-    if c == Fraction(-3, 4):
-        return RealBehavior(PARABOLIC_LANDMARK, (1, 2))
-    if c == Fraction(-5, 4):
-        return RealBehavior(PARABOLIC_LANDMARK, (2, 2))
-    if Fraction(-3, 4) < c < Fraction(1, 4):
-        return RealBehavior(ATTRACTING_FIXED_POINT)
-    if Fraction(-5, 4) < c < Fraction(-3, 4):
-        return RealBehavior(ATTRACTING_TWO_CYCLE)
+    for landmark, detail, _ in _LANDMARKS:
+        if c == landmark:
+            return RealBehavior(PARABOLIC_LANDMARK, detail)
+    tag = _window_tag(c)
+    if tag is not None:
+        return RealBehavior(tag)
     finite, preperiod, period = is_pcf_rational(c)
     if finite:
         return RealBehavior(POSTCRITICALLY_FINITE, (preperiod, period))
@@ -580,6 +599,20 @@ def _witness_flags(p: int, r: int):
 def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerdict:
     """Search for the least n <= nmax with P_n(4c) = 0.
 
+    Inside a Fatou window the answer is NotUpToBound(nmax) at once, for c an
+    int, a Fraction or a RealAlgebraic.  At real c < 1/4 the fixed-point
+    multiplier 1 - sqrt(1 - 4c) lies in (-1, 1) exactly when -3/4 < c < 1/4,
+    and the 2-cycle (the roots of z^2 + z + c + 1) has multiplier
+    4 z_1 z_2 = 4(c + 1), in (-1, 1) exactly when -5/4 < c < -3/4.  Every
+    attracting or parabolic cycle attracts a critical point (Fatou), and
+    f_c has only one, 0, so inside a window f_c has no parabolic cycle.
+    P_n(4c) = 0 exactly when f_c^n(z) - z has a multiple root: a point of
+    some period k | n whose multiplier lambda has lambda^(n/k) = 1, a
+    parabolic cycle.  So inside a window P_n(4c) != 0 for every n.  The
+    endpoints 1/4, -3/4 and -5/4 are parabolic and lie in no open window;
+    each endpoint test is one exact comparison of c with a Fraction.  A
+    window gives only NotUpToBound: "parabolic" comes from the routes below.
+
     A rational c is tested by point_discriminant(n, c) == 0, which builds no
     P_n.  At an irrational c = alpha with minimal polynomial m, a witness
     modulo a prime proves P_n(4 alpha) != 0 first.  Let m be irreducible,
@@ -604,6 +637,8 @@ def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerd
         raise ValueError("nmax must be at least 1")
     if nmax > DISCRIMINANT_CAP:
         raise CapExceededError(f"discriminant cap is {DISCRIMINANT_CAP}, got nmax={nmax}")
+    if _window_tag(c) is not None:
+        return ParabolicVerdict("not-up-to-bound", nmax)
     if isinstance(c, RealAlgebraic) and not c.is_rational:
         witness = _witness_root(c.minpoly)
         witnessed = _witness_flags(*witness) if witness else itertools.repeat(False)

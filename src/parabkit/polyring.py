@@ -1,10 +1,10 @@
 """Exact univariate and bivariate polynomial arithmetic.
 
 Coefficients are arbitrary-precision integers; nothing here ever rounds.
-The parser boundary rule: ``parse_poly`` returns a ``RationalPoly`` (over
-``fractions.Fraction``, with only the ring operations of the grammar), and
-``content_and_primitive`` converts it once into a primitive ``IntegerPoly``.
-Everything below the parser takes ``IntegerPoly`` only.  ``IteratedMapPoly``
+There is one univariate type, ``IntegerPoly``.  ``parse_poly`` evaluates
+its grammar in integers, each value a numerator ``IntegerPoly`` over a
+positive int denominator, and returns the primitive part; it bounds the
+degree, the digits and the work of every value it builds.  ``IteratedMapPoly``
 is a polynomial in ``z`` with ``IntegerPoly`` coefficients in a parameter
 ``c``, i.e. an element of Z[c][z].
 
@@ -41,11 +41,9 @@ __all__ = [
     "NotDivisibleError",
     "ParseError",
     "UnknownVariableError",
-    "RationalPoly",
     "IntegerPoly",
     "IteratedMapPoly",
     "RationalInterval",
-    "content_and_primitive",
     "resultant",
     "discriminant",
     "resultant_in_z",
@@ -87,102 +85,6 @@ class UnknownVariableError(ParseError):
 
 # ---------------------------------------------------------------------------
 # univariate polynomials
-
-
-@dataclass(frozen=True, slots=True)
-class RationalPoly:
-    """Dense univariate polynomial over Fraction, low-to-high coefficients.
-
-    The parser's output type, with only the ring operations its grammar uses.
-    """
-
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        cs = [Fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def zero(cls) -> "RationalPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RationalPoly":
-        return cls((Fraction(1),))
-
-    @classmethod
-    def x(cls) -> "RationalPoly":
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def constant(cls, value: Rat) -> "RationalPoly":
-        return cls((Fraction(value),))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "RationalPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = RationalPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __str__(self) -> str:
-        return format_poly(self, "x")
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,10 +133,6 @@ class IntegerPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.content() == 1
-
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -270,6 +168,8 @@ class IntegerPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntegerPoly":
+        """Square-and-multiply from the low bit; the parser's _power_work
+        estimates exactly these products."""
         if n < 0:
             raise ValueError("negative power")
         result = IntegerPoly.one()
@@ -277,8 +177,9 @@ class IntegerPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def evaluate(self, x: Rat):
@@ -342,9 +243,6 @@ class IntegerPoly:
         if rem:
             raise NotDivisibleError(f"{self} is not divisible by {other}")
         return IntegerPoly(quo)
-
-    def to_rational(self) -> RationalPoly:
-        return RationalPoly(tuple(Fraction(c) for c in self.coeffs))
 
     def __str__(self) -> str:
         return format_poly(self, "x")
@@ -411,24 +309,6 @@ class RationalInterval:
         left = "(" if self.lo_strict else "["
         right = ")" if self.hi_strict else "]"
         return f"{left}{self.lo}, {self.hi}{right}"
-
-
-# ---------------------------------------------------------------------------
-# content and primitive part
-
-
-def content_and_primitive(p: RationalPoly):
-    """Split the parsed p = gamma * q with q a primitive IntegerPoly, lc(q) > 0.
-
-    >>> gamma, q = content_and_primitive(RationalPoly((Fraction(-1, 4), 1, 1)))
-    >>> gamma, q.coeffs
-    (Fraction(1, 4), (-1, 4, 4))
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("zero polynomial has no content")
-    den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = IntegerPoly(tuple(int(c * den_lcm) for c in p.coeffs))
-    return Fraction(ints.content(), den_lcm), ints.primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -1045,6 +925,9 @@ def isolate_real_roots(p: IntegerPoly):
 
 # caps an exponent and the degree of every value the grammar builds
 _MAX_EXPONENT = 4096
+# caps the estimated work (_work, _power_work) of each product and power the
+# grammar builds
+_MAX_WORK = 2**28
 
 
 def check_digits(value: Rat, text: str, position: int, power: int = 1) -> None:
@@ -1070,11 +953,11 @@ class _Tokenizer:
         self.pos = 0
 
     def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None, self.pos
-        return self.text[self.pos], self.pos
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return (text[pos] if pos < len(text) else None), pos
 
     def take(self):
         ch, pos = self.peek()
@@ -1096,78 +979,151 @@ class _Tokenizer:
         return int(significant), start
 
 
+def _lowest_terms(num: IntegerPoly, den: int) -> tuple:
+    g = math.gcd(den, *num.coeffs)
+    if g == 1:
+        return num, den
+    return IntegerPoly(tuple(c // g for c in num.coeffs)), den // g
+
+
+def _shape(cs: tuple) -> tuple:
+    """(length, nonzero coefficients, largest coefficient bits) of a coefficient tuple."""
+    return len(cs), sum(1 for c in cs if c), max((abs(c).bit_length() for c in cs), default=0)
+
+
+def _product_shape(a: tuple, b: tuple) -> tuple:
+    # a bound on the shape of a product: each coefficient is a sum of at most
+    # min(nonzero) products of a coefficient of each factor
+    if not a[0] or not b[0]:
+        return 0, 0, 0
+    length = a[0] + b[0] - 1
+    return length, min(length, a[1] * b[1]), a[2] + b[2] + (min(a[1], b[1]) - 1).bit_length()
+
+
+def _work(a: tuple, b: tuple) -> int:
+    # IntegerPoly.__mul__ on factors of these shapes takes one inner step per
+    # nonzero coefficient of a and coefficient of b.  A step costs about as
+    # much as 256 products of 64-bit words, plus the word products of the two
+    # coefficients it multiplies; the unit is about a nanosecond.
+    return a[1] * b[0] * (256 + (1 + a[2] // 64) * (1 + b[2] // 64))
+
+
+def _power_work(base: tuple, e: int) -> int:
+    # the products IntegerPoly.__pow__ forms for base^e, on shape bounds
+    total, result = 0, (1, 1, 1)  # the shape of the constant 1
+    while e:
+        if e & 1:
+            total += _work(result, base)
+            result = _product_shape(result, base)
+        e >>= 1
+        if e:
+            total += _work(base, base)
+            base = _product_shape(base, base)
+    return total
+
+
 class _Parser:
+    """Recursive descent over the grammar above, in integers.
+
+    A value is a pair (num, den): an IntegerPoly numerator over a positive
+    int denominator with no factor common to den and every coefficient, so
+    the coefficient c/den in lowest terms is Fraction(c, den).  A power of
+    such a pair needs no reduction: a prime of den dividing every
+    coefficient of num^e would divide every coefficient of num, by Gauss's
+    lemma.  The checks read the lowest-terms coefficients, so the refusals
+    are those of a parser in Fractions.
+    """
+
     def __init__(self, text: str, var):
         self.toks = _Tokenizer(text)
         self.var = var
 
-    def parse(self) -> RationalPoly:
-        poly = self.parse_expr()
+    def parse(self) -> IntegerPoly:
+        num, _ = self.parse_expr()
         ch, pos = self.toks.peek()
         if ch is not None:
             raise ParseError(f"unexpected {ch!r}", pos)
-        return poly
+        return num.primitive()
 
-    def check(self, start: int, pos: int, degree: int, coeffs, power: int = 1) -> None:
-        """Refuse, at the operator position pos, a degree above _MAX_EXPONENT
-        or a coefficient whose power has too many digits."""
-        text = self.toks.text[start : self.toks.pos].strip()
+    def check(self, start, pos, degree, coeffs=(), den=1, power=1, work=0) -> None:
+        """Refuse, at the operator position pos, a degree above _MAX_EXPONENT,
+        a coefficient c/den whose power has too many digits, or a work
+        estimate above _MAX_WORK, in that order."""
         if degree > _MAX_EXPONENT:
-            raise ParseError(f"{text!r} has degree {degree}, above the cap {_MAX_EXPONENT}", pos)
-        for c in coeffs:
-            check_digits(c, text, pos, power)
+            excess = f"has degree {degree}, above the cap {_MAX_EXPONENT}"
+            raise ParseError(f"{self.operand(start)!r} {excess}", pos)
+        limit = sys.get_int_max_str_digits()
+        top = max(max(map(abs, coeffs), default=0), den)
+        # check_digits' own first test, on a bound of every reduced coefficient
+        if limit and top.bit_length() * power > 3 * limit:
+            for c in coeffs:
+                check_digits(Fraction(c, den), self.operand(start), pos, power)
+        if work > _MAX_WORK:
+            excess = f"needs work {work} to expand, above the cap {_MAX_WORK}"
+            raise ParseError(f"{self.operand(start)!r} {excess}", pos)
 
-    def parse_expr(self) -> RationalPoly:
+    def operand(self, start: int) -> str:
+        """The text from start to the current position, which a refusal quotes."""
+        return self.toks.text[start : self.toks.pos].strip()
+
+    def parse_expr(self) -> tuple:
         ch, start = self.toks.peek()
         negate = False
         if ch in ("+", "-"):
             self.toks.take()
             negate = ch == "-"
-        acc = self.parse_term()
+        num, den = self.parse_term()
         if negate:
-            acc = -acc
+            num = -num
         while True:
             ch, pos = self.toks.peek()
-            if ch == "+":
-                self.toks.take()
-                acc = acc + self.parse_term()
-            elif ch == "-":
-                self.toks.take()
-                acc = acc - self.parse_term()
+            if ch not in ("+", "-"):
+                return num, den
+            self.toks.take()
+            term, d = self.parse_term()
+            if ch == "-":
+                term = -term
+            if d == den:
+                num, den = _lowest_terms(num + term, den)
             else:
-                return acc
-            self.check(start, pos, acc.degree, acc.coeffs)
+                m = math.lcm(den, d)
+                num, den = _lowest_terms(num * (m // den) + term * (m // d), m)
+            self.check(start, pos, num.degree, num.coeffs, den)
 
-    def parse_term(self) -> RationalPoly:
+    def parse_term(self) -> tuple:
         start = self.toks.pos
-        acc = self.parse_factor()
+        num, den = self.parse_factor()
         while True:
             ch, pos = self.toks.peek()
             if ch == "*":
                 self.toks.take()
             elif ch is None or not (ch.isdigit() or ch.isalpha() or ch == "("):
-                return acc
-            acc = acc * self.parse_factor()
-            self.check(start, pos, acc.degree, acc.coeffs)
+                return num, den
+            other, d = self.parse_factor()
+            degree = num.degree + other.degree if num.coeffs and other.coeffs else -1
+            self.check(start, pos, degree, work=_work(_shape(num.coeffs), _shape(other.coeffs)))
+            num, den = _lowest_terms(num * other, den * d)
+            self.check(start, pos, num.degree, num.coeffs, den)
 
-    def parse_factor(self) -> RationalPoly:
+    def parse_factor(self) -> tuple:
         start = self.toks.pos
-        base = self.parse_base()
+        num, den = self.parse_base()
         ch, pos = self.toks.peek()
         if ch != "^":
-            return base
+            return num, den
         self.toks.take()
         exponent, epos = self.toks.take_uint()
         if exponent > _MAX_EXPONENT:
             raise ParseError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}", epos)
         # the leading and the lowest nonzero coefficient of base^e are their own e-th powers
-        ends = base.coeffs[-1:] + tuple(c for c in base.coeffs if c)[:1]
-        self.check(start, pos, base.degree * exponent, ends, exponent)
-        power = base**exponent
-        self.check(start, pos, power.degree, power.coeffs)
-        return power
+        ends = num.coeffs[-1:] + tuple(c for c in num.coeffs if c)[:1]
+        work = _power_work(_shape(num.coeffs), exponent)
+        self.check(start, pos, num.degree * exponent, ends, den, exponent, work)
+        num, den = num**exponent, den**exponent
+        self.check(start, pos, num.degree, num.coeffs, den)
+        return num, den
 
-    def parse_base(self) -> RationalPoly:
+    def parse_base(self) -> tuple:
         ch, pos = self.toks.peek()
         if ch is None:
             raise ParseError("unexpected end of input", pos)
@@ -1186,32 +1142,42 @@ class _Parser:
                 den, dpos = self.toks.take_uint()
                 if den == 0:
                     raise ParseError("zero denominator", dpos)
-                return RationalPoly.constant(Fraction(num, den))
-            return RationalPoly.constant(num)
+                return _lowest_terms(IntegerPoly((num,)), den)
+            return IntegerPoly((num,)), 1
         if ch.isalpha():
             self.toks.take()
             if self.var is None:
                 self.var = ch
             elif ch != self.var:
                 raise UnknownVariableError(f"unknown variable {ch!r}, expected {self.var!r}", pos)
-            return RationalPoly.x()
+            return IntegerPoly.x(), 1
         raise ParseError(f"unexpected {ch!r}", pos)
 
 
-def parse_poly(text: str, var=None) -> RationalPoly:
+def parse_poly(text: str, var=None) -> IntegerPoly:
     """Parse polynomial text like "8z^3+4z^2-18z-1" or "(b-1)*(b+3)^3".
 
-    When var is None the first letter encountered names the variable; any
-    second letter raises UnknownVariableError.
+    Returns the primitive part, with positive leading coefficient, of the
+    polynomial the text denotes over Q, computed in integers; the zero
+    polynomial raises ZeroPolynomialError.  When var is None the first letter
+    encountered names the variable; any second letter raises
+    UnknownVariableError.
 
     >>> parse_poly("8z^3+4z^2-18z-1", "z").coeffs
-    (Fraction(-1, 1), Fraction(-18, 1), Fraction(4, 1), Fraction(8, 1))
+    (-1, -18, 4, 8)
+    >>> parse_poly("-4/3x^2+2/3").coeffs
+    (-1, 0, 2)
     """
     return _Parser(text, var).parse()
 
 
 def format_poly(p, var: str = "x") -> str:
-    """Canonical descending-power rendering of an IntegerPoly or a parsed RationalPoly."""
+    """Canonical descending-power rendering of a polynomial's coefficients.
+
+    Takes anything with low-to-high ``coeffs``, such as an IntegerPoly; the
+    text re-parses to the same polynomial (up to its content, since
+    parse_poly returns the primitive part).
+    """
     coeffs = p.coeffs
     if not coeffs:
         return "0"

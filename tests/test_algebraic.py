@@ -25,8 +25,6 @@ from parabkit.polyring import (
     ConstantPolynomialError,
     IntegerPoly,
     RationalInterval,
-    RationalPoly,
-    content_and_primitive,
     isolate_real_roots,
     squarefree_part,
     sturm_count,
@@ -133,10 +131,10 @@ def test_refined_keeps_one_root(roots, shift, exponent):
     # none): always squarefree.  Each interval from isolate_real_roots is
     # also widened to end at the neighbouring rational roots where it still
     # isolates one root, so excluded endpoint roots are exercised.
-    p = RationalPoly((F(shift), F(0), F(1)))
+    p = helpers.RationalPoly((F(shift), F(0), F(1)))
     for r in roots:
-        p = p * RationalPoly((-r, F(1)))
-    _, p = content_and_primitive(p)
+        p = p * helpers.RationalPoly((-r, F(1)))
+    p = helpers.primitive_of(p)
     width = F(1, 2**exponent)
     for iv in isolate_real_roots(p):
         if iv.is_point:

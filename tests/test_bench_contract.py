@@ -5,8 +5,12 @@ the five layers list in ``__all__``, plus IntegerPoly and RealAlgebraic
 methods looked up in the class ``__dict__``; its count-prs mode counts each
 P_n build through the module attribute ``polyring.resultant_in_z``.  If one
 of these breaks, a benchmark run crashes or reports no PRS metrics, so the
-test runs them in a fresh process.  It reads perfbench/ and changes nothing
-there.
+test runs them in a fresh process.  The probe then builds both metric dicts
+with run.py's own functions, from its tracer summary, the PRS counts, the
+source line counts and a few synthetic samples, so that a run whose result
+line would name other metrics than BENCHMARK.json, or hold a value JSON
+cannot carry (NaN, infinity), fails here.  It reads perfbench/ and changes
+nothing there.
 """
 
 import json
@@ -35,15 +39,32 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = classify.cli_main(["classify", "--c", "16x^2+52x+41@[-3/2,-1]", "--json"])
 spans.uninstall()
 spans.fold()
+prs = worker.count_prs()
+lines = run.source_lines(".")
+samples = [(0.0011, 0.0040), (0.0009, 0.0042), (0.0030, 0.0039)] * 5
+metrics = {
+    "per_layer": run.per_layer("warm-classify", spans.summary(), 0.002, 1.1, 0.25, prs, lines),
+    "end_to_end": run.end_to_end(samples, [(0.8, 0.0041), (0.75, 0.0040)], 69000),
+}
+# the result line of run.main, which must hold finite values only
+result = {
+    mode: {name: {"value": v[0], "unit": v[1]} for name, v in found.items()}
+    for mode, found in metrics.items()
+}
 print(json.dumps({
     "missing": missing,
     "code": code,
     "traced": sorted(spans.summary()["totals"]),
     "restored": classify.cli_main is original,
-    "prs": worker.count_prs(),
+    "prs": prs,
     "fields": list(run.PRS_FIELDS),
-}))
+    "metrics": result,
+}, allow_nan=False))
 """
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite value {name} in a result line")
 
 
 def test_perfbench_runs_against_the_package():
@@ -52,7 +73,7 @@ def test_perfbench_runs_against_the_package():
         [sys.executable, "-c", PROBE], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    out = json.loads(result.stdout.strip().splitlines()[-1])
+    out = json.loads(result.stdout.strip().splitlines()[-1], parse_constant=_no_constant)
     assert out["missing"] == []
     assert out["code"] == 0 and out["restored"]
     assert {"classify.cli_main", "dynamics.is_parabolic_up_to", "algebraic.make_real_algebraic"} <= set(
@@ -61,3 +82,7 @@ def test_perfbench_runs_against_the_package():
     assert sorted(out["prs"]) == ["1", "2", "3", "4", "5"]
     for n, fields in out["prs"].items():
         assert set(out["fields"]) <= set(fields), n
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
+    for mode in ("per_layer", "end_to_end"):
+        assert set(out["metrics"][mode]) == {m["name"] for m in declared[mode]}, mode

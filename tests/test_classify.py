@@ -424,6 +424,46 @@ def test_fresh_prop2_builds_no_pn():
     assert result.stdout.split("\n")[:2] == ["0 0", "1 1"]
 
 
+# Classifies one parameter in a fresh process and prints its exit code and
+# verdict, the P_n cache size, the bivariate resultant calls and the n of
+# every P_n built, and the number of modular witness searches.
+_CLASSIFY_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from parabkit import dynamics, polyring\n"
+    "calls = []\n"
+    "original = polyring.resultant_in_z\n"
+    "polyring.resultant_in_z = lambda *args: calls.append(1) or original(*args)\n"
+    "built = []\n"
+    "pn = dynamics.discriminant_Pn\n"
+    "dynamics.discriminant_Pn = lambda n: built.append(n) or pn(n)\n"
+    "searched = []\n"
+    "witness = dynamics._witness_root\n"
+    "dynamics._witness_root = lambda m: searched.append(m) or witness(m)\n"
+    "from parabkit.classify import cli_main\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    code = cli_main(['classify', '--c', sys.argv[1], '--json'])\n"
+    "print(code, json.loads(out.getvalue())['parabolic'])\n"
+    "print(dynamics._pn.cache_info().currsize, len(calls), built)\n"
+    "print(len(searched))\n"
+)
+
+
+def _run_classify_probe(parameter) -> list:
+    import parabkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", _CLASSIFY_PROBE, parameter],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split("\n")[:3]
+
+
 @pytest.mark.parametrize(
     "parameter, expected, built",
     [
@@ -436,63 +476,24 @@ def test_fresh_prop2_builds_no_pn():
     ],
 )
 def test_fresh_classify_builds_pn_only_for_zero_residues(parameter, expected, built):
-    import parabkit
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
-    probe = (
-        "import contextlib, io, json, sys\n"
-        "from parabkit import dynamics, polyring\n"
-        "calls = []\n"
-        "original = polyring.resultant_in_z\n"
-        "polyring.resultant_in_z = lambda *args: calls.append(1) or original(*args)\n"
-        "built = []\n"
-        "pn = dynamics.discriminant_Pn\n"
-        "dynamics.discriminant_Pn = lambda n: built.append(n) or pn(n)\n"
-        "from parabkit.classify import cli_main\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        "    code = cli_main(['classify', '--c', sys.argv[1], '--json'])\n"
-        "print(code, json.loads(out.getvalue())['parabolic'])\n"
-        "print(dynamics._pn.cache_info().currsize, len(calls), built)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe, parameter], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:2] == [f"0 {expected}", built]
+    assert _run_classify_probe(parameter)[:2] == [f"0 {expected}", built]
 
 
-def test_fresh_pipelines_build_no_rational_poly():
-    # RationalPoly is the parser's output type only: the pipelines and the
-    # P_n sign at an algebraic parameter construct none; parse_parameter,
-    # which runs the parser, shows that the probe sees them.
-    import parabkit
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
-    probe = (
-        "from parabkit import polyring\n"
-        "count = [0]\n"
-        "original = polyring.RationalPoly.__post_init__\n"
-        "def counting(self):\n"
-        "    count[0] += 1\n"
-        "    original(self)\n"
-        "polyring.RationalPoly.__post_init__ = counting\n"
-        "from parabkit.classify import parse_parameter, prop1_pipeline, prop2_pipeline\n"
-        "from parabkit.dynamics import is_parabolic_up_to\n"
-        "prop1_pipeline()\n"
-        "prop2_pipeline()\n"
-        "print(count[0])\n"
-        "alpha = parse_parameter('16x^2+52x+41@[-3/2,-1]')\n"
-        "print(count[0] > 0)\n"
-        "count[0] = 0\n"
-        "is_parabolic_up_to(alpha, 5)\n"
-        "print(count[0])\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:3] == ["0", "True", "0"]
+@pytest.mark.parametrize(
+    "parameter, searched",
+    [
+        # inside a Fatou window (the fixed point attracts on (-3/4, 1/4), the
+        # 2-cycle on (-5/4, -3/4)): no witness search and no P_n
+        ("x^2+14x+8@[-3/4,-1/2]", 0),
+        ("x^3+3x+1@[-1,0]", 0),
+        ("2x^3+2x+3@[-1,-3/4]", 0),
+        # outside them, on [-2, -5/4): one witness search, and still no P_n
+        ("16x^2+52x+41@[-3/2,-1]", 1),
+        ("x^3+x^2+1@[-2,-1]", 1),
+    ],
+)
+def test_fresh_classify_skips_witnesses_inside_the_windows(parameter, searched):
+    assert _run_classify_probe(parameter) == ["0 NotUpToBound(5)", "0 0 []", str(searched)]
 
 
 def test_cli_multiplier():
@@ -583,6 +584,9 @@ def test_cli_usage_errors():
         (("isolate", "--poly", "(x^2+10^1000x+1)^5"), "'(x^2+10^1000x+1)^5' has too many digits (at position 16)"),
         (("isolate", "--poly", "(10^4000)(10^4000)-x"), "'(10^4000)(10^4000)' has too many digits (at position 9)"),
         (("isolate", "--poly", "9" * 4300 + "+1-x"), "has too many digits (at position 4300)"),
+        # and so is a product or power whose work estimate is too large
+        (("isolate", "--poly", "(x+1)^2048"), "'(x+1)^2048' needs work "),
+        (("classify", "--c", "(x+1)^2048-1@[0,1]"), "above the cap 268435456 (at position 5)"),
     ):
         err = io.StringIO()
         start = time.monotonic()

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import pytest
@@ -33,12 +34,17 @@ from parabkit.dynamics import (
     real_behavior,
     verify_cycle,
 )
-from parabkit.algebraic import affine_transform, make_real_algebraic, sign_at
+from parabkit.algebraic import (
+    RealAlgebraic,
+    affine_transform,
+    from_rational,
+    make_real_algebraic,
+    sign_at,
+)
 from parabkit.classify import parse_parameter
 from parabkit.polyring import (
     IntegerPoly,
-    RationalPoly,
-    content_and_primitive,
+    RationalInterval,
     discriminant,
     format_poly,
     isolate_real_roots,
@@ -108,8 +114,8 @@ def test_iterate_cap():
 
 def test_discriminant_fixtures_exact():
     for n, text in P_FIXTURES.items():
-        assert discriminant_Pn(n).to_rational() == parse_poly(text, var="b"), n
-    assert format_poly(discriminant_Pn(2).to_rational(), "b") == "b^4+8b^3+18b^2-27"
+        assert discriminant_Pn(n).coeffs == helpers.parse_rational_poly(text, var="b").coeffs, n
+    assert format_poly(discriminant_Pn(2), "b") == "b^4+8b^3+18b^2-27"
 
 
 def test_discriminant_p5_is_monic_degree_80():
@@ -203,10 +209,10 @@ def test_pn_root_iff_multiple_cycle():
 
 def test_dynatomic_examples():
     d2 = dynatomic_poly(2, F(-5, 4))
-    assert d2 == content_and_primitive(parse_poly("z^2+z-1/4", var="z"))[1]
+    assert d2 == parse_poly("z^2+z-1/4", var="z")
     assert d2 == IntegerPoly((-1, 4, 4))
     d1 = dynatomic_poly(1, F(7, 3))
-    assert d1 == content_and_primitive(parse_poly("z^2-z+7/3", var="z"))[1]
+    assert d1 == parse_poly("z^2-z+7/3", var="z")
     d3 = dynatomic_poly(3, F(-7, 4))
     assert d3.degree == 6
     assert squarefree_part(d3) == IntegerPoly((-1, -18, 4, 8))
@@ -226,7 +232,7 @@ def test_dynatomic_product_identity():
 def test_dynatomic_poly_matches_fraction_oracle(n, c):
     # the Moebius quotient of integer models against the Moebius product
     # of f_c^d(z) - z in Fractions: the same polynomial up to its content
-    expected = content_and_primitive(helpers.fraction_dynatomic_poly(n, c))[1]
+    expected = helpers.primitive_of(helpers.fraction_dynatomic_poly(n, c))
     assert dynatomic_poly(n, c) == expected
 
 
@@ -365,6 +371,69 @@ def test_is_parabolic_up_to_landmarks():
     assert is_parabolic_up_to(F(1, 4), 5).is_parabolic is True
 
 
+def _unreachable(*args):
+    raise AssertionError("called inside a Fatou window")
+
+
+def test_windows_answer_without_witness_or_pn(monkeypatch):
+    # the fixed point attracts on (-3/4, 1/4), the 2-cycle on (-5/4, -3/4)
+    for name in ("_witness_root", "discriminant_Pn", "point_discriminant"):
+        monkeypatch.setattr(dynamics, name, _unreachable)
+    tiny = F(1, 10**40)
+    inside = (
+        0,
+        F(1, 8),
+        F(-1),
+        F(1, 4) - tiny,
+        F(-3, 4) + tiny,
+        F(-3, 4) - tiny,
+        F(-5, 4) + tiny,
+        from_rational(F(-11, 10)),
+        parse_parameter("x^2+14x+8@[-3/4,-1/2]"),
+        parse_parameter("x^3+3x+1@[-1,0]"),
+        parse_parameter("2x^3+2x+3@[-1,-3/4]"),
+    )
+    for c in inside:
+        assert dynamics._window_tag(c) is not None, c
+        assert str(is_parabolic_up_to(c, 5)) == "NotUpToBound(5)", c
+
+
+def test_window_endpoints_take_the_exact_routes():
+    # -3/4 as a Fraction, as from_rational, as the root of the reducible
+    # (4x+3)(x^2-2) that parse_parameter collapses, and as that root left in
+    # an open isolation, which only the exact comparisons place on the end
+    reducible = IntegerPoly((-6, -8, 3, 4))
+    forms = (
+        F(-3, 4),
+        from_rational(F(-3, 4)),
+        parse_parameter("(4x+3)(x^2-2)@[-1,-1/4]"),
+        RealAlgebraic(reducible, RationalInterval(F(-1), F(-1, 4), True, True)),
+    )
+    assert not forms[-1].is_rational
+    for c in forms:
+        assert dynamics._window_tag(c) is None, c
+        assert str(is_parabolic_up_to(c, 5)) == "Parabolic(2)", c
+    for c, verdict in ((F(1, 4), "Parabolic(1)"), (F(-5, 4), "Parabolic(4)")):
+        assert dynamics._window_tag(c) is None
+        assert str(is_parabolic_up_to(from_rational(c), 5)) == verdict
+    # outside the windows, on [-2, -5/4), the witness still decides
+    outside = parse_parameter("x^2-2@[-2,-1]")
+    assert dynamics._window_tag(outside) is None
+    assert str(is_parabolic_up_to(outside, 5)) == "NotUpToBound(5)"
+
+
+def test_real_behavior_reads_the_window_table():
+    for k in range(-88, 18):
+        c = F(k, 40)
+        tag = dynamics._window_tag(c)
+        if tag is not None:
+            assert real_behavior(c).tag == tag, c
+        elif -2 <= c <= F(1, 4):
+            assert real_behavior(c).tag not in ("AttractingFixedPoint", "AttractingTwoCycle"), c
+    for landmark, detail, _ in dynamics._LANDMARKS:
+        assert real_behavior(landmark) == RealBehavior("ParabolicLandmark", detail)
+
+
 def test_is_parabolic_up_to_algebraic_and_cap():
     assert str(is_parabolic_up_to(_candidate_high(), 5)) == "NotUpToBound(5)"
     with pytest.raises(CapExceededError):
@@ -424,7 +493,8 @@ def test_witness_verdicts_equal_the_exact_route(m):
     # Wherever a witness exists, its root is a root of m mod p with p not
     # dividing lc(m), each flag says whether P_n(4r) mod p (read off the
     # bivariate P_n) is nonzero, a nonzero flag never meets an exact zero,
-    # and the verdict is the exact route's.
+    # and the verdict is the exact route's.  Inside a Fatou window that
+    # verdict comes from neither a witness nor a P_n.
     if m.degree < 2 or squarefree_part(m).degree != m.degree:
         return
     for alpha in _core_irrational_roots(m):
@@ -437,7 +507,14 @@ def test_witness_verdicts_equal_the_exact_route(m):
             for n, (flag, zero) in enumerate(zip(flags, zeros), start=1):
                 assert flag == (_residue(discriminant_Pn(n), 4 * r, p) != 0)
                 assert not (flag and zero)
-        assert str(is_parabolic_up_to(alpha, 5)) == _exact_verdict(alpha)
+        if dynamics._window_tag(alpha) is None:
+            assert str(is_parabolic_up_to(alpha, 5)) == _exact_verdict(alpha)
+            continue
+        with mock.patch.object(dynamics, "_witness_root", _unreachable), mock.patch.object(
+            dynamics, "discriminant_Pn", _unreachable
+        ):
+            verdict = str(is_parabolic_up_to(alpha, 5))
+        assert verdict == "NotUpToBound(5)" == _exact_verdict(alpha)
 
 
 def test_witness_keeps_the_parabolic_controls():
@@ -495,12 +572,20 @@ def test_tiny_primes_keep_every_answer_exact(monkeypatch):
 
 
 def test_leading_coefficient_divisible_by_every_prime_falls_back():
+    # L (2x+3)^k - 1 and + 2 have roots next to -3/2, in [-2, -5/4) and so
+    # outside the Fatou windows, with every tuple prime dividing lc = 2^k L
     lead = 1
     for p in dynamics._WITNESS_PRIMES:
         lead *= p
-    for m in (IntegerPoly((-1, 0, lead)), IntegerPoly((2, 0, 0, lead))):
+    for m in (
+        IntegerPoly((9, 12, 4)) * lead - IntegerPoly.one(),
+        IntegerPoly((27, 54, 36, 8)) * lead + IntegerPoly.constant(2),
+    ):
         assert dynamics._witness_root(m) is None
-        for alpha in _core_irrational_roots(m):
+        roots = _core_irrational_roots(m)
+        assert roots
+        for alpha in roots:
+            assert alpha < F(-5, 4) and dynamics._window_tag(alpha) is None
             assert str(is_parabolic_up_to(alpha, 5)) == "NotUpToBound(5)" == _exact_verdict(alpha)
 
 
@@ -514,7 +599,9 @@ def test_witness_primes():
 
 def _in_c(*texts):
     # coefficients in c of a polynomial in lambda, low to high in lambda
-    return tuple(IntegerPoly(tuple(int(k) for k in parse_poly(t, var="c").coeffs)) for t in texts)
+    return tuple(
+        IntegerPoly(tuple(int(k) for k in helpers.parse_rational_poly(t, var="c").coeffs)) for t in texts
+    )
 
 
 def test_multiplier_polynomial_closed_forms():
@@ -528,7 +615,7 @@ def test_multiplier_polynomial_closed_forms():
         "1",
     )
     # (lambda - 1)^2 at -7/4, where the two 3-cycles collide
-    assert helpers.evaluate_at_c(multiplier_polynomial(3), F(-7, 4)) == parse_poly("(x-1)^2")
+    assert helpers.evaluate_at_c(multiplier_polynomial(3), F(-7, 4)) == helpers.parse_rational_poly("(x-1)^2")
     # one factor per n-cycle: (sum over d | n of mu(n/d) 2^d) / n
     for n, cycles in zip(range(1, 6), (2, 1, 2, 3, 6)):
         delta = multiplier_polynomial(n)
@@ -545,9 +632,9 @@ def test_multiplier_polynomial_against_prs(n, c, a):
     # res_z(Phi_n, a - (f^n)'(z)) = Delta_n(a, c)^n, by the subresultant PRS
     # over Q at a rational point, for the monic Phi_n
     derivative = helpers.evaluate_at_c(iterate_map(n).derivative_z(), c)
-    phi = dynatomic_poly(n, c).to_rational()
+    phi = helpers.RationalPoly(dynatomic_poly(n, c).coeffs)
     phi = phi * (1 / phi.leading)
-    res = helpers.rational_resultant(phi, RationalPoly.constant(a) - derivative)
+    res = helpers.rational_resultant(phi, helpers.RationalPoly.constant(a) - derivative)
     delta = helpers.evaluate_at_c(multiplier_polynomial(n), c)
     assert res == helpers.evaluate(delta, a) ** n
 

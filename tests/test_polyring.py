@@ -1,9 +1,10 @@
 """Exact polynomial arithmetic, resultants, Sturm counts, isolation, parsing."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -14,11 +15,9 @@ from parabkit.polyring import (
     NotDivisibleError,
     ParseError,
     RationalInterval,
-    RationalPoly,
     UnknownVariableError,
     ZeroPolynomialError,
     cauchy_bound,
-    content_and_primitive,
     discriminant,
     discriminant_in_z,
     format_poly,
@@ -31,39 +30,39 @@ from parabkit.polyring import (
 from parabkit.polyring import _int_gcd, _sign_changes
 
 rational = st.fractions(min_value=-30, max_value=30, max_denominator=12)
-rational_polys = st.lists(rational, min_size=1, max_size=7).map(lambda cs: RationalPoly(tuple(cs)))
+rational_polys = st.lists(rational, min_size=1, max_size=7).map(lambda cs: helpers.RationalPoly(tuple(cs)))
 small_int_polys = st.lists(
     st.integers(min_value=-9, max_value=9), min_size=2, max_size=5
 ).map(lambda cs: IntegerPoly(tuple(cs)))
 
 
 def test_normalization_strips_trailing_zeros():
-    p = RationalPoly((F(1), F(2), F(0), F(0)))
-    assert p.coeffs == (F(1), F(2))
+    p = IntegerPoly((1, 2, 0, 0))
+    assert p.coeffs == (1, 2)
     assert p.degree == 1
-    assert RationalPoly((F(0), F(0))).is_zero
-    assert RationalPoly.zero().degree == -1
+    assert IntegerPoly((0, 0)).is_zero
+    assert IntegerPoly.zero().degree == -1
 
 
 def test_arithmetic_identities():
     p = parse_poly("x^3-2x+1")
     q = parse_poly("x^2+x")
     assert p + q - q == p
-    assert p * RationalPoly.one() == p
-    assert p * RationalPoly.zero() == RationalPoly.zero()
+    assert p * IntegerPoly.one() == p
+    assert p * IntegerPoly.zero() == IntegerPoly.zero()
     assert (p * q).degree == p.degree + q.degree
     x = F(3, 2)
     assert helpers.evaluate(p * q, x) == helpers.evaluate(p, x) * helpers.evaluate(q, x)
-    assert parse_poly("3x^2-6").leading == 3
+    assert parse_poly("3x^2-6") == IntegerPoly((-2, 0, 1))  # the primitive part
 
 
 def test_integer_poly_content_and_primitive():
     p = IntegerPoly((-4, 0, -6))
     assert p.content() == -2  # content carries the sign of the leading term
     assert p.primitive() == IntegerPoly((2, 0, 3))
-    gamma, prim = content_and_primitive(parse_poly("4/3x^2-2/3"))
-    assert gamma == F(2, 3) and prim == IntegerPoly((-1, 0, 2))
-    assert prim.is_primitive and not prim.is_monic
+    prim = parse_poly("4/3x^2-2/3")
+    assert prim == IntegerPoly((-1, 0, 2))
+    assert prim.content() == 1 and not prim.is_monic
 
 
 def test_integer_poly_divide_exact():
@@ -113,7 +112,7 @@ def test_resultant_numeric_oracle():
 def test_discriminant_known_values():
     # disc(x^2 + bx + c) = b^2 - 4c
     def disc(text):
-        return discriminant(helpers.primitive_of(parse_poly(text)))
+        return discriminant(parse_poly(text))
 
     assert disc("x^2+3x+1") == 5
     assert disc("x^2-2") == 8
@@ -134,10 +133,10 @@ def test_discriminant_in_z_matches_direct():
 
 
 def test_squarefree_part():
-    p = helpers.primitive_of(parse_poly("(x-1)^2*(x+2)"))
+    p = parse_poly("(x-1)^2*(x+2)")
     sf = squarefree_part(p)
-    assert sf == helpers.primitive_of(parse_poly("(x-1)(x+2)"))
-    q = helpers.primitive_of(parse_poly("x^2-2"))
+    assert sf == parse_poly("(x-1)(x+2)")
+    q = parse_poly("x^2-2")
     assert squarefree_part(q) == q
 
 
@@ -148,7 +147,7 @@ def test_int_gcd_divides_and_leaves_coprime_cofactors(p, q, r):
     if a.is_zero or b.is_zero:
         return
     g = _int_gcd(a, b)
-    assert g.leading > 0 and g.is_primitive
+    assert g.leading > 0 and g.content() == 1
     g.divide_exact(r.primitive())  # the common factor r divides the gcd
     ca, cb = a.divide_exact(g), b.divide_exact(g)  # and the gcd divides both
     if ca.degree >= 1 and cb.degree >= 1:
@@ -162,28 +161,28 @@ def test_squarefree_model_has_the_same_roots_once(p, q, e):
     if f.is_zero:
         return
     model = squarefree_part(f)
-    assert model.leading > 0 and model.is_primitive
+    assert model.leading > 0 and model.content() == 1
     f.divide_exact(model)  # every root of the model is a root of f
     if f.degree >= 1:
         (model ** f.degree).divide_exact(f.primitive())  # and conversely
         assert discriminant(model) != 0  # each root once
     # the parser-boundary conversion of f has the same model
-    assert squarefree_part(helpers.primitive_of(f.to_rational())) == model
+    assert squarefree_part(helpers.primitive_of(helpers.RationalPoly(f.coeffs))) == model
 
 
 def test_cauchy_bound_contains_roots():
-    p = helpers.primitive_of(parse_poly("x^2-10x+1"))
+    p = parse_poly("x^2-10x+1")
     bound = cauchy_bound(p)
     assert sturm_count(p, RationalInterval(-bound, bound)) == 2
 
 
 def test_sturm_count_endpoints():
-    p = helpers.primitive_of(parse_poly("x^2-1"))
+    p = parse_poly("x^2-1")
     assert sturm_count(p, RationalInterval(F(-1), F(1))) == 2  # closed endpoints count
     assert sturm_count(p, RationalInterval(F(-1), F(0))) == 1
     assert sturm_count(p, RationalInterval(F(1), F(1))) == 1
     assert sturm_count(p, RationalInterval(F(-1, 2), F(1, 2))) == 0
-    sqrt2 = helpers.primitive_of(parse_poly("x^2-2"))
+    sqrt2 = parse_poly("x^2-2")
     assert sturm_count(sqrt2, RationalInterval(F(0), F(2))) == 1
 
 
@@ -213,7 +212,7 @@ def test_sturm_count_integer_and_rational_agree(p, lo, hi, flags):
         return
     lo, hi = min(lo, hi), max(lo, hi)
     iv = RationalInterval(lo, hi, *flags) if lo < hi else RationalInterval(lo, hi)
-    r = p.to_rational()
+    r = helpers.RationalPoly(p.coeffs)
     # the parser-boundary conversion keeps the count, whatever the content
     assert sturm_count(p, iv) == sturm_count(helpers.primitive_of(r), iv)
     assert sturm_count(helpers.primitive_of(r * F(-2, 3)), iv) == sturm_count(p, iv)
@@ -225,7 +224,7 @@ def test_sturm_vs_numeric_and_constructed():
 
 
 def test_isolate_real_roots_invariants():
-    p = helpers.primitive_of(parse_poly("x^4-5x^2+2"))
+    p = parse_poly("x^4-5x^2+2")
     intervals = isolate_real_roots(p)
     assert len(intervals) == 4
     for prev, cur in zip(intervals, intervals[1:]):
@@ -252,9 +251,9 @@ def test_isolate_real_roots_matches_fraction_oracle(p, q):
 
 
 def test_isolate_rational_roots_become_points():
-    intervals = isolate_real_roots(helpers.primitive_of(parse_poly("x^2-3x+2")))
+    intervals = isolate_real_roots(parse_poly("x^2-3x+2"))
     assert [(iv.lo, iv.is_point) for iv in intervals] == [(F(1), True), (F(2), True)]
-    assert isolate_real_roots(helpers.primitive_of(parse_poly("x^2+1"))) == ()
+    assert isolate_real_roots(parse_poly("x^2+1")) == ()
 
 
 def test_isolate_accepts_integer_poly():
@@ -275,11 +274,13 @@ def test_interval_semantics():
 
 
 def test_parse_poly_grammar():
-    assert parse_poly("-b+1", var="b") == RationalPoly((F(1), F(-1)))
+    assert parse_poly("-b+1", var="b") == IntegerPoly((-1, 1))  # lc > 0
     assert parse_poly("(b-1)(b+3)^3", var="b") == parse_poly("(b-1)*(b+3)^3", var="b")
     assert format_poly(parse_poly("(b-1)(b+3)^3", var="b"), "b") == "b^4+8b^3+18b^2-27"
     assert parse_poly("z^2 + z - 1/4", var="z") == parse_poly("z^2+z-1/4", var="z")
-    assert parse_poly("2^3") == RationalPoly((F(8),))
+    assert parse_poly("2^3") == IntegerPoly((1,))
+    assert parse_poly("1/2x^2+1/3x+1/6") == IntegerPoly((1, 2, 3))
+    assert parse_poly("(2x+2)(3x-3)(1/6)") == IntegerPoly((-1, 0, 1)) == parse_poly("x^2-1")
 
 
 def test_parse_poly_errors():
@@ -294,6 +295,8 @@ def test_parse_poly_errors():
         parse_poly("x^5000")
     with pytest.raises(ParseError):
         parse_poly("")
+    with pytest.raises(ZeroPolynomialError, match="^zero polynomial has no content$"):
+        parse_poly("x-x")
 
 
 @given(st.data())
@@ -301,9 +304,88 @@ def test_parse_poly_errors():
 def test_format_parse_roundtrip(data):
     coeffs = data.draw(st.lists(rational, min_size=1, max_size=7))
     var = data.draw(st.sampled_from(("x", "b", "z")))
-    p = RationalPoly(tuple(coeffs))
-    assert parse_poly(format_poly(p, var), var=var) == p
+    p = helpers.RationalPoly(tuple(coeffs))
+    assert helpers.parse_rational_poly(format_poly(p, var), var=var) == p
+    if not p.is_zero:
+        assert parse_poly(format_poly(p, var), var=var) == helpers.primitive_of(p)
 
 
 def test_parser_roundtrip_family():
     helpers.check_parser_roundtrip(cases=60)
+
+
+# Expression text: the variable, integers and rationals, and a few special
+# atoms (a second letter, a zero denominator, padded digits, large powers
+# that meet the digit and degree caps), joined by sums, implicit and
+# explicit products, powers, parentheses and leading signs; and short junk.
+_specials = st.sampled_from(("y", "3/0", " 007 ", "10^1500", "x^1500", "(1/10^1500)"))
+_atoms = st.one_of(
+    st.just("x"),
+    st.integers(0, 40).map(str),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 40), st.integers(1, 12)),
+    _specials,
+)
+_expression_texts = st.one_of(
+    st.recursive(
+        _atoms,
+        lambda inner: st.one_of(
+            st.builds(lambda a, s: f"{a}({s})", inner, _specials),
+            st.builds(lambda a, b: a + b, inner, inner),
+            st.builds(lambda a, b: f"{a} {b}", inner, inner),
+            st.builds(lambda a, b: f"{a}*{b}", inner, inner),
+            st.builds(lambda a, op, b: f"{a}{op}{b}", inner, st.sampled_from("+-"), inner),
+            st.builds(lambda a, e: f"({a})^{e}", inner, st.integers(0, 5)),
+            st.builds(lambda a, e: f"{a}^{e}", inner, st.integers(0, 5)),
+            st.builds(lambda s, a: s + a, st.sampled_from("+-"), inner),
+            inner.map(lambda a: f"({a})"),
+        ),
+        max_leaves=10,
+    ),
+    st.text(alphabet="x0123456789+-*/^() ", max_size=12),
+)
+
+
+@given(text=_expression_texts)
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(text="(10^1500)(10^1500)(10^1500)")
+@example(text="(1/10^1500)^3+x")
+@example(text="x^1500 x^1500 x^1500")
+@example(text="(x^1500+2)(2x^1500-1/3)^2")
+@example(text="(10^1500x+1)^2(x-10^1500)")
+def test_integer_parser_matches_the_fraction_parser(text):
+    # the value is the primitive part of the value in Fractions, and every
+    # refusal has the same type, message and position
+    try:
+        expected = helpers.parse_rational_poly(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert type(err.value) is type(exc)
+        assert (str(err.value), err.value.position) == (str(exc), exc.position)
+        return
+    if expected.is_zero:
+        with pytest.raises(ZeroPolynomialError, match="^zero polynomial has no content$"):
+            parse_poly(text)
+    else:
+        assert parse_poly(text) == helpers.primitive_of(expected)
+
+
+def test_parse_poly_bounds_the_work_of_products_and_powers():
+    # refused at the operator, before the product or power is formed
+    for text, operand, position in (
+        ("(x+1)^2048", "'(x+1)^2048'", 5),
+        ("3x^2-(x^2+x+1)^1024", "'(x^2+x+1)^1024'", 14),
+        ("((10^8)x-1)^500", "'((10^8)x-1)^500'", 11),
+        ("(x+1)^1000*(x+1)^1000+1", "'(x+1)^1000*(x+1)^1000'", 10),
+    ):
+        start = time.monotonic()
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert time.monotonic() - start < 1, text
+        assert str(err.value).startswith(f"{operand} needs work "), text
+        assert "above the cap" in str(err.value) and err.value.position == position, text
+    # dense powers below the bound, and sparse ones up to the degree cap
+    assert parse_poly("(x+1)^1024").coeffs[512] > 10**300
+    assert parse_poly("x^4096+1").degree == 4096
+    assert parse_poly("(x^2048+1)(x^2048-1)") == parse_poly("x^4096-1")
+    assert parse_poly("(x^2+x+1)^300").degree == 600
