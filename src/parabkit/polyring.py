@@ -925,8 +925,8 @@ def isolate_real_roots(p: IntegerPoly):
 
 # caps an exponent and the degree of every value the grammar builds
 _MAX_EXPONENT = 4096
-# caps the estimated work (_work, _power_work) of each product and power the
-# grammar builds
+# caps the estimated work (_work, _power_work) of the products and powers the
+# grammar builds, summed over the whole input
 _MAX_WORK = 2**28
 
 
@@ -1037,6 +1037,7 @@ class _Parser:
     def __init__(self, text: str, var):
         self.toks = _Tokenizer(text)
         self.var = var
+        self.spent = 0  # the work estimates of the products and powers so far
 
     def parse(self) -> IntegerPoly:
         num, _ = self.parse_expr()
@@ -1048,7 +1049,7 @@ class _Parser:
     def check(self, start, pos, degree, coeffs=(), den=1, power=1, work=0) -> None:
         """Refuse, at the operator position pos, a degree above _MAX_EXPONENT,
         a coefficient c/den whose power has too many digits, or a work
-        estimate above _MAX_WORK, in that order."""
+        estimate that takes the input's total above _MAX_WORK, in that order."""
         if degree > _MAX_EXPONENT:
             excess = f"has degree {degree}, above the cap {_MAX_EXPONENT}"
             raise ParseError(f"{self.operand(start)!r} {excess}", pos)
@@ -1058,8 +1059,10 @@ class _Parser:
         if limit and top.bit_length() * power > 3 * limit:
             for c in coeffs:
                 check_digits(Fraction(c, den), self.operand(start), pos, power)
-        if work > _MAX_WORK:
-            excess = f"needs work {work} to expand, above the cap {_MAX_WORK}"
+        self.spent += work
+        if self.spent > _MAX_WORK:
+            total = "" if self.spent == work else f", {self.spent} with the rest of the input"
+            excess = f"needs work {work} to expand{total}, above the cap {_MAX_WORK}"
             raise ParseError(f"{self.operand(start)!r} {excess}", pos)
 
     def operand(self, start: int) -> str:

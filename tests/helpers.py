@@ -29,6 +29,7 @@ from parabkit.polyring import (
     check_digits,
     discriminant,
     format_poly,
+    parse_poly,
     resultant,
     resultant_in_z,
     squarefree_part,
@@ -456,6 +457,8 @@ def check_parser_roundtrip(seed: int = 5, cases: int = 60) -> None:
         p = random_rational_poly(rng)
         var = variables[i % len(variables)]
         assert parse_rational_poly(format_poly(p, var), var=var) == p, p.coeffs
+        if not p.is_zero:
+            assert parse_poly(format_poly(p, var), var=var) == primitive_of(p), p.coeffs
 
 
 def resultant_in_z_interpolated(P: IteratedMapPoly, Q: IteratedMapPoly, bound: int) -> IntegerPoly:

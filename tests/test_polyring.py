@@ -376,7 +376,11 @@ def test_parse_poly_bounds_the_work_of_products_and_powers():
         ("(x+1)^2048", "'(x+1)^2048'", 5),
         ("3x^2-(x^2+x+1)^1024", "'(x^2+x+1)^1024'", 14),
         ("((10^8)x-1)^500", "'((10^8)x-1)^500'", 11),
-        ("(x+1)^1000*(x+1)^1000+1", "'(x+1)^1000*(x+1)^1000'", 10),
+        # each estimate below the cap, their sum above it
+        ("(x+1)^1000*(x+1)^1000+1", "'(x+1)^1000'", 16),
+        ("(x+1)^700*(x+1)^700+1", "'(x+1)^700*(x+1)^700'", 9),
+        ("+".join(["(x+1)^1024"] * 200), "'(x+1)^1024'", 16),
+        ("+".join(["(x+1)^256"] * 200), "'(x+1)^256'", 37 * 11 + 8),
     ):
         start = time.monotonic()
         with pytest.raises(ParseError) as err:
