@@ -319,6 +319,43 @@ def fraction_dynatomic_poly(n: int, c) -> RationalPoly:
     return fraction_divide_exact(numerator, denominator)
 
 
+# ---------------------------------------------------------------------------
+# the schoolbook kernel in ints, kept as an oracle for IntegerPoly.__mul__
+# (one big-integer product above a size cutoff) and IntegerPoly.divide_exact
+
+
+def schoolbook_product(a: tuple, b) -> list:
+    """The coefficients of a*b, for coefficient tuples a and b or an int b."""
+    if isinstance(b, int):
+        return [c * b for c in a]
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def schoolbook_quotient(a: tuple, b: tuple):
+    """The coefficients of a/b in Z[x] by long division, or None when b,
+    nonzero, does not divide a there."""
+    rem, b = list(a), list(b)
+    for cs in (rem, b):
+        while cs and cs[-1] == 0:
+            cs.pop()
+    quo = [0] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        t, r = divmod(rem[-1], b[-1])
+        if r:
+            return None
+        shift = len(rem) - len(b)
+        quo[shift] = t
+        for i, y in enumerate(b):
+            rem[shift + i] -= t * y
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return None if rem else quo
+
+
 def random_integer_poly(rng: random.Random, max_degree: int = 5, bound: int = 20) -> IntegerPoly:
     degree = rng.randint(1, max_degree)
     coeffs = [rng.randint(-bound, bound) for _ in range(degree)]

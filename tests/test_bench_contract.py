@@ -9,8 +9,10 @@ test runs them in a fresh process.  The probe then builds both metric dicts
 with run.py's own functions, from its tracer summary, the PRS counts, the
 source line counts and a few synthetic samples, so that a run whose result
 line would name other metrics than BENCHMARK.json, or hold a value JSON
-cannot carry (NaN, infinity), fails here.  It reads perfbench/ and changes
-nothing there.
+cannot carry (NaN, infinity), fails here.  The PRS counts are checked by
+value too: each P_n's degree and coefficient bits, and positive product and
+division counts, which read 0 if the PRS stopped calling the counted
+methods.  It reads perfbench/ and changes nothing there.
 """
 
 import json
@@ -82,6 +84,16 @@ def test_perfbench_runs_against_the_package():
     assert sorted(out["prs"]) == ["1", "2", "3", "4", "5"]
     for n, fields in out["prs"].items():
         assert set(out["fields"]) <= set(fields), n
+    # the P_n the counts describe, and work that went through the counted
+    # methods: a kernel that bypassed them would zero these metrics silently
+    result_bits = {"1": 3, "2": 10, "3": 29, "4": 80, "5": 204}
+    peak_bits = {"1": 3, "2": 18, "3": 71, "4": 217, "5": 583}
+    for n, fields in out["prs"].items():
+        assert fields["result_degree"] == int(n) * 2 ** (int(n) - 1), n
+        assert fields["result_coeff_bits"] == result_bits[n], n
+        assert fields["peak_coeff_bits"] == peak_bits[n], n
+        if int(n) >= 2:
+            assert fields["mul_calls"] > 0 and fields["divide_exact_calls"] > 0, n
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
     for mode in ("per_layer", "end_to_end"):

@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic, resultants, Sturm counts, isolation, parsing."""
 
+import random
 import time
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,7 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _int_gcd, _sign_changes
+from parabkit.polyring import _KRONECKER_RATIO, _int_gcd, _sign_changes
 
 rational = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 rational_polys = st.lists(rational, min_size=1, max_size=7).map(lambda cs: helpers.RationalPoly(tuple(cs)))
@@ -76,6 +78,87 @@ def test_integer_poly_divide_exact():
     # product rule on a fixed pair
     r, s = IntegerPoly((1, 0, 1)), IntegerPoly((0, -1, 0, 1))
     assert (r * s).derivative() == r.derivative() * s + r * s.derivative()
+
+
+# int factors and divisors for the kernel tests, up to 2000 bits
+kernel_scalars = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**2000), 2**2000))
+
+
+@st.composite
+def kernel_coeff_lists(draw):
+    """Coefficient lists of 1 to 200 terms of up to 2000 bits, with zeros at
+    both ends and inside; the public constructor strips those at the top.
+    The values come from a drawn Random, since a list of that size drawn
+    term by term would overrun Hypothesis's buffer."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(13, 200)))
+    bits = draw(st.sampled_from((1, 8, 64, 600, 2000)))
+    zeros = draw(st.sampled_from((0.0, 0.2, 0.7)))
+    rng = draw(st.randoms(use_true_random=False))
+    body = [0 if rng.random() < zeros else rng.randint(-1, 1) << rng.randint(0, bits) for _ in range(n)]
+    body = [c + rng.randint(-abs(c), abs(c)) for c in body]
+    return [0] * draw(st.integers(0, 3)) + body + [0] * draw(st.integers(0, 2))
+
+
+def assert_kernel_result(got, expected_coeffs):
+    # a result equals, and hashes like, the validated poly of the oracle
+    expected = IntegerPoly(tuple(expected_coeffs))
+    assert type(got) is IntegerPoly and type(got.coeffs) is tuple
+    assert got == expected and got.coeffs == expected.coeffs
+    assert hash(got) == hash(expected)
+
+
+def check_kernel(a, b, k):
+    p, q = IntegerPoly(tuple(a)), IntegerPoly(tuple(b))
+    assert_kernel_result(p * q, helpers.schoolbook_product(p.coeffs, q.coeffs))
+    assert_kernel_result(p * k, helpers.schoolbook_product(p.coeffs, k))
+    assert_kernel_result(k * p, helpers.schoolbook_product(p.coeffs, k))
+    assert_kernel_result(p + q, map(sum, zip_longest(p.coeffs, q.coeffs, fillvalue=0)))
+    assert_kernel_result(p - p, ())
+    assert_kernel_result(-p, [-c for c in p.coeffs])
+    assert_kernel_result(p.derivative(), [i * c for i, c in enumerate(p.coeffs)][1:])
+    if q.is_zero:
+        with pytest.raises(ZeroPolynomialError):
+            p.divide_exact(q)
+        return
+    assert_kernel_result((p * q).divide_exact(q), p.coeffs)
+    quotient = helpers.schoolbook_quotient(p.coeffs, q.coeffs)
+    if quotient is None:
+        with pytest.raises(NotDivisibleError):
+            p.divide_exact(q)
+    else:
+        assert_kernel_result(p.divide_exact(q), quotient)
+    # a nonzero remainder below deg q, down to a constant alone
+    for r in (IntegerPoly((1,)), IntegerPoly(tuple(b[: q.degree]))):
+        if q.degree > 0 and not r.is_zero:
+            with pytest.raises(NotDivisibleError):
+                (p * q + r).divide_exact(q)
+    if k:
+        assert_kernel_result((p * k).divide_exact(k), p.coeffs)
+    else:
+        with pytest.raises(ZeroPolynomialError):
+            p.divide_exact(k)
+
+
+@given(a=kernel_coeff_lists(), b=kernel_coeff_lists(), k=kernel_scalars)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_kernel_matches_the_schoolbook_oracle(a, b, k):
+    check_kernel(a, b, k)
+
+
+@pytest.mark.parametrize("step", [1, 2, 4, 8, 16])
+def test_kernel_on_both_sides_of_the_cutoff(step):
+    # dense shapes just below, at and above the packing cutoff, far above
+    # it, and a sparse one above it in length only
+    rng = random.Random(step)
+    short = _KRONECKER_RATIO + step
+    edge = _KRONECKER_RATIO * short // step + 1  # the least long length that packs
+    for long in (1, edge - 1, edge, edge + 1, 200):
+        for bits in (1, 64, 2000):
+            a = [rng.randint(-(2**bits), 2**bits) or 1 for _ in range(short)]
+            b = [rng.randint(-(2**bits), 2**bits) or 1 for _ in range(long)]
+            check_kernel(a, b, rng.randint(-(2**bits), 2**bits))
+            check_kernel(b, a, 0)
+    check_kernel([0] * 200 + [1], [1] * 201, 1)
 
 
 @given(p=rational_polys, q=rational_polys)
