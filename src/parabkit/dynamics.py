@@ -3,13 +3,16 @@
 Symbolic iterates and period polynomials live in ``IteratedMapPoly`` (monic in
 z over Z[c]).  From those this module derives the discriminant polynomials
 P_n(b), defined by disc_z(f_c^n(z) - z) = P_n(4c), for ``pn`` and for an
-algebraic parameter whose modular witness of P_n(4c) != 0 fails (see
-``is_parabolic_up_to``).  At a rational parameter c = a/d every question about
-f_c^n(z) - z goes to one cached integer model, G(w) = d^(2^n) (f_c^n(w/d) -
-w/d), monic in Z[w]: ``point_discriminant`` gives the value P_n(4c) as its
-discriminant and builds no P_n (the bounded parabolicity search and the
-parity certificates at b = 0 and b = -6 read it), ``verify_cycle`` divides
-it exactly, and ``dynatomic_poly`` is a Moebius quotient of such models.
+algebraic parameter whose modular witness of P_n(4c) != 0 fails.  That
+witness serves an irrational parameter of any degree: a cached table of
+P_n(4x) mod p (``_qn_mod``) and one resultant over F_p with the minimal
+polynomial (see ``is_parabolic_up_to``).  At a rational parameter c = a/d
+every question about f_c^n(z) - z goes to one cached integer model,
+G(w) = d^(2^n) (f_c^n(w/d) - w/d), monic in Z[w]: ``point_discriminant``
+gives the value P_n(4c) as its discriminant and builds no P_n (the bounded
+parabolicity search and the parity certificates at b = 0 and b = -6 read
+it), ``verify_cycle`` divides it exactly, and ``dynatomic_poly`` is a
+Moebius quotient of such models.
 Exact cycle multipliers, orbit tests for rational parameters, and the
 multiplier polynomials Delta_n(lambda, c) complete the module: an exact
 sign change of Delta_n(., c) inside [-1, 1] certifies an attracting cycle
@@ -20,8 +23,6 @@ Everything is exact integer or rational arithmetic; nothing rounds.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,10 +39,10 @@ from .polyring import (
     discriminant,
     discriminant_in_z,
     _IPOLY_RING,
-    _fp_cubic_root,
-    _fp_gcd,
+    _disc_sign,
+    _fp_interpolate,
     _fp_mul,
-    _fp_trim,
+    _fp_resultant,
     _prem,
 )
 
@@ -86,9 +87,10 @@ ESCAPE_BUDGET = 1000
 # The guard turns that into a clean UnresolvedError.
 _ESCAPE_BIT_GUARD = 65536
 
-# Primes for the modular witnesses of P_n(4c) != 0 at an algebraic c: the 32
-# largest p = 3 (mod 4) below 2^30, so that a product of two residues fits in
-# two CPython digits.  Tried in this order.
+# Primes for the modular witness of P_n(4c) != 0 at an algebraic c: 32 primes
+# below 2^30, so that a product of two residues fits in two CPython digits,
+# and far above every degree n 2^(n-1) of P_n the cap allows.  Tried in this
+# order.
 _WITNESS_PRIMES = (
     1073741783, 1073741723, 1073741719, 1073741671, 1073741663, 1073741651, 1073741567,
     1073741527, 1073741503, 1073741467, 1073741419, 1073741399, 1073741387, 1073741371,
@@ -541,59 +543,26 @@ def real_behavior(c: Rat) -> RealBehavior:
     return RealBehavior(CORE_BOUNDED_UNRESOLVED)
 
 
-def _witness_root(m: IntegerPoly):
-    """(p, r) with p in _WITNESS_PRIMES and m(r) = 0 mod p, for a certified irreducible m.
+@lru_cache(maxsize=None)
+def _qn_mod(n: int, p: int) -> tuple:
+    """Q_n(x) = P_n(4x) = disc_z(f_x^n(z) - z) mod p, low to high, for a prime
+    p > N = n 2^(n-1); the proof that this is exact is in is_parabolic_up_to.
 
-    Irreducibility is certified, never assumed, because a caller may pass a
-    reducible squarefree m: a quadratic is reducible exactly when its
-    discriminant is a square.  A reducible cubic has a rational root k/j with
-    j | lc(m), and that reduces to a root of m mod every prime p not dividing
-    lc(m), so a prime at which m has no root, gcd(x^p - x, m) = 1 over F_p,
-    certifies a cubic.  Degree 4 and up gets no certificate.  Only primes not
-    dividing lc(m) are used; the search over _WITNESS_PRIMES is deterministic
-    and returns None when it finds no certificate or no root.  The quadratic
-    roots (-c1 +- s)/(2 c2) need s^2 = disc mod p; for p = 3 (mod 4) that
-    is s = disc^((p+1)/4) when disc is a square mod p, which s^2 confirms.
+    Q_n(k) mod p for k = 0..N is disc(G) over F_p for the monic
+    G(w) = f_k^n(w) - w = W_n - w of degree d = 2^n, with W_1 = w^2 + k and
+    W_(j+1) = W_j^2 + k, the model of ``_period_model`` with denominator 1:
+    (-1)^(d(d-1)/2) res(G, G').  Cached per (n, p).
     """
-    if m.degree == 2:
-        c0, c1, c2 = m.coeffs
-        disc = c1 * c1 - 4 * c0 * c2
-        if disc >= 0 and math.isqrt(disc) ** 2 == disc:
-            return None
-        for p in _WITNESS_PRIMES:
-            if c2 % p:
-                s = pow(disc, (p + 1) // 4, p)
-                if s * s % p == disc % p:
-                    return p, (s - c1) * pow(2 * c2, -1, p) % p
-        return None
-    if m.degree != 3:
-        return None
-    certified, root = False, None
-    for p in _WITNESS_PRIMES:
-        if m.leading % p == 0:
-            continue
-        has_root, r = _fp_cubic_root([c % p for c in m.coeffs], p)
-        certified = certified or not has_root
-        if root is None and r is not None:
-            root = p, r
-        if certified and root is not None:
-            return root
-    return None
-
-
-def _witness_flags(p: int, r: int):
-    """For n = 1, 2, ...: whether gcd(G, G') = 1 over F_p for G(w) = f_r^n(w) - w.
-
-    G = W_n - w with W_1 = w^2 + r and W_(k+1) = W_k^2 + r, the model of
-    ``_period_model`` with d = 1, is monic of degree 2^n.
-    """
-    w = [r % p, 0, 1]
-    while True:
-        g = list(w)
-        g[1] = (g[1] - 1) % p
-        yield len(_fp_gcd(g, _fp_trim([i * a % p for i, a in enumerate(g)][1:]), p)) == 1
-        w = _fp_mul(w, w, p)
-        w[0] = (w[0] + r) % p
+    sign = _disc_sign(2**n)
+    values = []
+    for k in range(n * 2 ** (n - 1) + 1):
+        w = [k % p, 0, 1]
+        for _ in range(1, n):
+            w = _fp_mul(w, w, p)
+            w[0] = (w[0] + k) % p
+        w[1] = (w[1] - 1) % p
+        values.append(sign * _fp_resultant(w, [i * a % p for i, a in enumerate(w)][1:], p) % p)
+    return tuple(_fp_interpolate(values, p))
 
 
 def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerdict:
@@ -614,22 +583,25 @@ def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerd
     window gives only NotUpToBound: "parabolic" comes from the routes below.
 
     A rational c is tested by point_discriminant(n, c) == 0, which builds no
-    P_n.  At an irrational c = alpha with minimal polynomial m, a witness
-    modulo a prime proves P_n(4 alpha) != 0 first.  Let m be irreducible,
-    p a prime not dividing lc(m) and r a root of m mod p.  ``_witness_root``
-    certifies irreducibility: a quadratic by a non-square discriminant, a
-    cubic by a prime not dividing lc(m) at which it has no root, since a
-    reducible cubic has a rational root and that reduces to a root mod every
-    such prime.  Then x -> r is a ring map Z[1/lc(m)][x]/(m) -> F_p,
-    and by Gauss's lemma the left side is Z[1/lc(m)][alpha].  It sends
-    P_n(4 alpha) to P_n(4r) mod p.  P_n(4x) = disc_z(f_x^n(z) - z) is the
-    discriminant of a polynomial monic in z, so it commutes with the map:
-    P_n(4r) = disc(G) over F_p for G(w) = f_r^n(w) - w, monic of degree
-    2^n.  gcd(G, G') = 1 over F_p makes disc(G) nonzero, hence
-    P_n(4 alpha) != 0.  Where there is no witness (no certificate, no
-    usable prime, degree 4 and up) or its residue is zero, the exact route
-    decides: the sign of the cached bivariate P_n at b = 4 alpha by
-    ``algebraic.sign_at``, which finds a true zero by one gcd.  So a
+    P_n.  At an irrational c = alpha with minimal polynomial m, of any degree,
+    reducible or not, a modular resultant proves P_n(4 alpha) != 0 first
+    (Collins, "The calculation of multivariate polynomial resultants", JACM
+    18, 1971).  Let Q_n(x) = P_n(4x) = disc_z(f_x^n(z) - z), N = n 2^(n-1)
+    and p the first prime of _WITNESS_PRIMES with p > N and p not dividing
+    lc(m).  (1) Q_n is in Z[x]: the discriminant is a universal integer
+    polynomial in the coefficients of a polynomial monic in z, so Q_n(k)
+    mod p is the discriminant over F_p of f_k^n(w) - w.  (2) deg Q_n <= N:
+    every periodic point has |z| <= R = (1 + sqrt(1 + 4|x|))/2, and
+    Q_n(x) = +-prod ((f^n)'(z_i) - 1) over the 2^n roots, each factor at
+    most (2R)^n + 1 in modulus, so |Q_n(x)| = O(|x|^N).  (3) So its values
+    at the N + 1 nodes 0..N, distinct mod p since p > N, give Q_n mod p
+    exactly (``_qn_mod``).  (4) lc(Q_n) = +-4^N and lc(m) are units mod p,
+    so both degrees survive reduction and the Sylvester determinant
+    Res(m, Q_n) reduces to Res(m mod p, Q_n mod p).  A nonzero residue makes
+    Res(m, Q_n) = lc(m)^N prod Q_n(alpha_i) nonzero, so Q_n vanishes at no
+    root of m, alpha included.  A zero residue, or no usable prime, sends n
+    to the exact route: the sign of the cached bivariate P_n at b = 4 alpha
+    by ``algebraic.sign_at``, which finds a true zero by one gcd.  So a
     "parabolic" verdict always comes from the exact route, and P_n is built
     only for an n whose witness residue is zero.
     """
@@ -640,12 +612,12 @@ def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerd
     if _window_tag(c) is not None:
         return ParabolicVerdict("not-up-to-bound", nmax)
     if isinstance(c, RealAlgebraic) and not c.is_rational:
-        witness = _witness_root(c.minpoly)
-        witnessed = _witness_flags(*witness) if witness else itertools.repeat(False)
+        m = c.minpoly
 
         def vanishes(n: int) -> bool:
-            # one flag per call: the loop below asks for n = 1, 2, ... in order
-            if next(witnessed):
+            usable = (p for p in _WITNESS_PRIMES if p > n * 2 ** (n - 1) and m.leading % p)
+            p = next(usable, None)
+            if p is not None and _fp_resultant([k % p for k in m.coeffs], _qn_mod(n, p), p):
                 return False
             return sign_at(discriminant_Pn(n), affine_transform(c, 4, 0)) == 0
 

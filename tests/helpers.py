@@ -395,13 +395,13 @@ def check_trace_identity(upto: int = 50) -> None:
         assert phi.degree == 2 * m, n
         for k in range(1, 2 * m + 2):
             t = Fraction(k)
-            assert phi.evaluate(t) == t**m * tn.evaluate(t + 1 / t), (n, k)
+            assert evaluate(phi, t) == t**m * evaluate(tn, t + 1 / t), (n, k)
     for n in (1, 2):
         phi = cyclotomic_poly(n)
         tn = trace_polynomial(n)
         for k in range(1, 4):
             t = Fraction(k)
-            assert phi.evaluate(t) ** 2 == t * tn.evaluate(t + 1 / t), (n, k)
+            assert evaluate(phi, t) ** 2 == t * evaluate(tn, t + 1 / t), (n, k)
 
 
 def _numeric_roots(p: IntegerPoly) -> list:
@@ -510,9 +510,9 @@ def resultant_in_z_interpolated(P: IteratedMapPoly, Q: IteratedMapPoly, bound: i
     values = []
     k = 0
     while len(nodes) < bound + 1:
-        if P.leading_in_z.evaluate(k) and Q.leading_in_z.evaluate(k):
-            pk = IntegerPoly(tuple(p.evaluate(k) for p in P.coeffs_in_z))
-            qk = IntegerPoly(tuple(q.evaluate(k) for q in Q.coeffs_in_z))
+        if evaluate(P.leading_in_z, k) and evaluate(Q.leading_in_z, k):
+            pk = IntegerPoly(tuple(int(evaluate(p, k)) for p in P.coeffs_in_z))
+            qk = IntegerPoly(tuple(int(evaluate(q, k)) for q in Q.coeffs_in_z))
             nodes.append(k)
             values.append(resultant(pk, qk))
         k += 1

@@ -327,7 +327,7 @@ def test_sign_at_matches_fraction_evaluation_near_zero(m, g, c, j):
         narrow = iv
         while sturm_count(p, narrow):
             narrow = helpers.fraction_refined(m, narrow, narrow.width / 2)
-        value = p.evaluate(narrow.midpoint)
+        value = helpers.evaluate(p, narrow.midpoint)
         assert sign_at(p, alpha) == (value > 0) - (value < 0)
 
 

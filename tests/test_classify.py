@@ -426,7 +426,8 @@ def test_fresh_prop2_builds_no_pn():
 
 # Classifies one parameter in a fresh process and prints its exit code and
 # verdict, the P_n cache size, the bivariate resultant calls and the n of
-# every P_n built, and the number of modular witness searches.
+# every P_n built, and the number of distinct primes whose witness table
+# (P_n(4x) mod p) was read.
 _CLASSIFY_PROBE = (
     "import contextlib, io, json, sys\n"
     "from parabkit import dynamics, polyring\n"
@@ -436,16 +437,16 @@ _CLASSIFY_PROBE = (
     "built = []\n"
     "pn = dynamics.discriminant_Pn\n"
     "dynamics.discriminant_Pn = lambda n: built.append(n) or pn(n)\n"
-    "searched = []\n"
-    "witness = dynamics._witness_root\n"
-    "dynamics._witness_root = lambda m: searched.append(m) or witness(m)\n"
+    "primes = set()\n"
+    "table = dynamics._qn_mod\n"
+    "dynamics._qn_mod = lambda n, p: primes.add(p) or table(n, p)\n"
     "from parabkit.classify import cli_main\n"
     "out = io.StringIO()\n"
     "with contextlib.redirect_stdout(out):\n"
     "    code = cli_main(['classify', '--c', sys.argv[1], '--json'])\n"
     "print(code, json.loads(out.getvalue())['parabolic'])\n"
     "print(dynamics._pn.cache_info().currsize, len(calls), built)\n"
-    "print(len(searched))\n"
+    "print(len(primes))\n"
 )
 
 
@@ -467,9 +468,12 @@ def _run_classify_probe(parameter) -> list:
 @pytest.mark.parametrize(
     "parameter, expected, built",
     [
-        # modular witnesses prove P_1..P_5 nonzero: no P_n is built
+        # modular witnesses prove P_1..P_5 nonzero: no P_n is built, at a
+        # quadratic, a quartic and a reducible cubic alike
         ("16x^2+52x+41@[-3/2,-1]", "NotUpToBound(5)", "0 0 []"),
         ("x^2+14x+8@[-3/4,-1/2]", "NotUpToBound(5)", "0 0 []"),
+        ("x^4-3@[-2,-1]", "NotUpToBound(5)", "0 0 []"),
+        ("(2x+1)(x^2-3)@[-7/4,-3/2]", "NotUpToBound(5)", "0 0 []"),
         # P_4(4c) = 0 at the cubic control: only the zero residue at n = 4
         # sends it to the exact route, which builds P_4 alone
         ("64x^3+144x^2+108x+135@[-2,-15/8]", "Parabolic(4)", "1 1 [4]"),
@@ -483,11 +487,12 @@ def test_fresh_classify_builds_pn_only_for_zero_residues(parameter, expected, bu
     "parameter, searched",
     [
         # inside a Fatou window (the fixed point attracts on (-3/4, 1/4), the
-        # 2-cycle on (-5/4, -3/4)): no witness search and no P_n
+        # 2-cycle on (-5/4, -3/4)): no witness table and no P_n
         ("x^2+14x+8@[-3/4,-1/2]", 0),
         ("x^3+3x+1@[-1,0]", 0),
         ("2x^3+2x+3@[-1,-3/4]", 0),
-        # outside them, on [-2, -5/4): one witness search, and still no P_n
+        # outside them, on [-2, -5/4): the tables of one prime serve every n,
+        # and still no P_n
         ("16x^2+52x+41@[-3/2,-1]", 1),
         ("x^3+x^2+1@[-2,-1]", 1),
     ],

@@ -1,6 +1,5 @@
 """Iterates, discriminant polynomials, cycles, orbits, and multiplier certificates."""
 
-import itertools
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -52,6 +51,7 @@ from parabkit.polyring import (
     resultant,
     squarefree_part,
 )
+from parabkit.polyring import _fp_resultant
 
 P_FIXTURES = {
     1: "-b+1",
@@ -98,7 +98,7 @@ def test_iterate_map_constant_term_is_critical_orbit():
     val = F(0)
     for _ in range(3):
         val = val * val + F(1, 3)
-    assert c_poly.evaluate(F(1, 3)) == val
+    assert helpers.evaluate(c_poly, F(1, 3)) == val
 
 
 def test_period_poly_vanishes_at_fixed_points():
@@ -146,7 +146,7 @@ def test_parity_certificates_against_frozen_oracles():
         assert cert.value_at_0_mod2 == 1
         assert cert.value_at_minus6_mod2 == 1
         assert discriminant_Pn(n).coeff(0) == DISC_Z2N[n], n
-        assert int(discriminant_Pn(n).evaluate(-6)) == PN_AT_MINUS6[n], n
+        assert int(helpers.evaluate(discriminant_Pn(n), -6)) == PN_AT_MINUS6[n], n
         assert DISC_Z2N[n] % 2 == 1 and PN_AT_MINUS6[n] % 2 == 1
 
 
@@ -164,13 +164,13 @@ def test_point_discriminant_against_frozen_oracles():
 def test_point_discriminant_equals_pn_at_4c(n, c):
     # the point value against the bivariate P_n, at parameters whose
     # denominators are and are not powers of 2
-    assert point_discriminant(n, c) == discriminant_Pn(n).evaluate(4 * c)
+    assert point_discriminant(n, c) == helpers.evaluate(discriminant_Pn(n), 4 * c)
 
 
 def test_point_discriminant_at_the_prop2_parameters():
     for c in (F(1, 4), F(-3, 4), F(-5, 4), F(-7, 4), F(-2), F(-3, 2)):
         for n in range(1, 6):
-            assert point_discriminant(n, c) == discriminant_Pn(n).evaluate(4 * c), (c, n)
+            assert point_discriminant(n, c) == helpers.evaluate(discriminant_Pn(n), 4 * c), (c, n)
 
 
 def test_disc_z2n_closed_form():
@@ -203,7 +203,7 @@ def test_pn_root_iff_multiple_cycle():
         for n in range(1, 5):
             spec = helpers.primitive_of(helpers.evaluate_at_c(period_poly(n), c))
             multiple = squarefree_part(spec).degree < spec.degree
-            root = discriminant_Pn(n).evaluate(4 * c) == 0
+            root = helpers.evaluate(discriminant_Pn(n), 4 * c) == 0
             assert multiple == root, (c, n)
 
 
@@ -377,7 +377,7 @@ def _unreachable(*args):
 
 def test_windows_answer_without_witness_or_pn(monkeypatch):
     # the fixed point attracts on (-3/4, 1/4), the 2-cycle on (-5/4, -3/4)
-    for name in ("_witness_root", "discriminant_Pn", "point_discriminant"):
+    for name in ("_qn_mod", "discriminant_Pn", "point_discriminant"):
         monkeypatch.setattr(dynamics, name, _unreachable)
     tiny = F(1, 10**40)
     inside = (
@@ -465,21 +465,46 @@ def _core_irrational_roots(m):
     return [a for a in roots if not a.is_rational and not (a < -2 or a > F(1, 4))]
 
 
-def _residue(poly, x, p):
-    return sum(c * pow(x, i, p) for i, c in enumerate(poly.coeffs)) % p
+def _core_roots_on(m):
+    # the roots of a squarefree m in [-2, 1/4], each on m itself: a rational
+    # root of a reducible m is left in its open isolation, as in
+    # test_window_endpoints_take_the_exact_routes, so that the search reads
+    # it as irrational and proves it on the reducible m
+    m = m.primitive()
+    roots = []
+    for iv in isolate_real_roots(m):
+        alpha = make_real_algebraic(m, iv)
+        if alpha.is_rational and not iv.is_point:
+            alpha = RealAlgebraic(m, iv)
+        if not alpha.is_rational and not (alpha < -2 or alpha > F(1, 4)):
+            roots.append(alpha)
+    return roots
 
 
-@st.composite
-def _witness_minpolys(draw):
-    """Irreducible-or-not quadratics and cubics, many with a root close to a
-    parabolic or PCF parameter: (Dx - A)^k - e has the roots A/D + (e)^(1/k)/D."""
-    kind = draw(st.sampled_from(("random", "near", "near", "control")))
-    degree = draw(st.sampled_from((2, 3)))
-    if kind == "random":
-        coeffs = draw(st.lists(st.integers(-64, 64), min_size=degree + 1, max_size=degree + 1))
-        return IntegerPoly(tuple(coeffs[:-1]) + (draw(st.integers(1, 64)),))
-    if kind == "control":
-        return _CUBIC_CONTROL + IntegerPoly.constant(draw(st.integers(-40, 40)))
+def _qn(n):
+    # Q_n(x) = P_n(4x) in Z[x]
+    return IntegerPoly(tuple(k * 4**i for i, k in enumerate(discriminant_Pn(n).coeffs)))
+
+
+def _witness(m, n):
+    # (p, Res(m mod p, Q_n mod p)) at the prime the witness takes for n, or None
+    usable = [p for p in dynamics._WITNESS_PRIMES if p > n * 2 ** (n - 1) and m.leading % p]
+    if not usable:
+        return None
+    p = usable[0]
+    return p, _fp_resultant([k % p for k in m.coeffs], dynamics._qn_mod(n, p), p)
+
+
+@pytest.mark.parametrize("p", [dynamics._WITNESS_PRIMES[0], 83])
+def test_witness_table_is_pn_of_4x_mod_p(p):
+    # the interpolated table equals the bivariate route's P_n(4x), reduced
+    for n in range(1, 6):
+        assert dynamics._qn_mod(n, p) == tuple(k % p for k in _qn(n).coeffs), n
+
+
+def _near(draw, degree):
+    # (Dx - A)^k - e has the roots A/D + (e)^(1/k)/D, close to a parabolic or
+    # PCF parameter
     centre = draw(st.sampled_from(_NEAR_CENTRES))
     scale = draw(st.sampled_from((1, 3, 10, 1000, 10**6)))
     A, D = centre.numerator * scale, centre.denominator * scale
@@ -487,30 +512,56 @@ def _witness_minpolys(draw):
     return IntegerPoly((-A, D)) ** degree - IntegerPoly.constant(e)
 
 
+def _at_centre(draw, degree):
+    # Dx - A with the root A/D a parabolic or PCF parameter
+    centre = draw(st.sampled_from(_NEAR_CENTRES))
+    return IntegerPoly((-centre.numerator, centre.denominator))
+
+
+def _random(draw, degree):
+    coeffs = draw(st.lists(st.integers(-64, 64), min_size=degree, max_size=degree))
+    return IntegerPoly(tuple(coeffs) + (draw(st.integers(1, 64)),))
+
+
+@st.composite
+def _witness_minpolys(draw):
+    """Quadratics, cubics and quartics, irreducible or not, many with a root
+    close to a parabolic or PCF parameter; a reducible one is a product of
+    two such factors, one of them perhaps linear with its root on such a
+    parameter, or the cubic control times a linear factor."""
+    kind = draw(st.sampled_from(("random", "near", "near", "control", "reducible")))
+    if kind == "control":
+        m = _CUBIC_CONTROL + IntegerPoly.constant(draw(st.integers(-40, 40)))
+        return m * _random(draw, 1) if draw(st.booleans()) else m
+    if kind != "reducible":
+        factor = _random if kind == "random" else _near
+        return factor(draw, draw(st.sampled_from((2, 2, 3, 4))))
+    low = draw(st.sampled_from((1, 2)))
+    high = draw(st.sampled_from(range(low, 5 - low)))
+    factors = (_random, _near, _at_centre) if low == 1 else (_random, _near)
+    return draw(st.sampled_from(factors))(draw, low) * _near(draw, high)
+
+
 @given(_witness_minpolys())
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_witness_verdicts_equal_the_exact_route(m):
-    # Wherever a witness exists, its root is a root of m mod p with p not
-    # dividing lc(m), each flag says whether P_n(4r) mod p (read off the
-    # bivariate P_n) is nonzero, a nonzero flag never meets an exact zero,
-    # and the verdict is the exact route's.  Inside a Fatou window that
-    # verdict comes from neither a witness nor a P_n.
+    # At every n the witness residue is the integer Res(m, Q_n) reduced mod
+    # its prime, a nonzero residue never meets an exact zero, and the
+    # verdict is the exact route's, whether m is reducible or not (a
+    # reducible quadratic through its rational roots left open).  Inside a
+    # Fatou window that verdict reads neither a witness table nor a P_n.
     if m.degree < 2 or squarefree_part(m).degree != m.degree:
         return
-    for alpha in _core_irrational_roots(m):
+    for alpha in _core_roots_on(m):
         zeros = _exact_zeros(alpha)
-        witness = dynamics._witness_root(alpha.minpoly)
-        if witness is not None:
-            p, r = witness
-            assert alpha.minpoly.leading % p and _residue(alpha.minpoly, r, p) == 0
-            flags = list(itertools.islice(dynamics._witness_flags(p, r), 5))
-            for n, (flag, zero) in enumerate(zip(flags, zeros), start=1):
-                assert flag == (_residue(discriminant_Pn(n), 4 * r, p) != 0)
-                assert not (flag and zero)
+        for n, zero in enumerate(zeros, start=1):
+            p, residue = _witness(alpha.minpoly, n)
+            assert residue == resultant(alpha.minpoly, _qn(n)) % p
+            assert not (residue and zero)
         if dynamics._window_tag(alpha) is None:
             assert str(is_parabolic_up_to(alpha, 5)) == _exact_verdict(alpha)
             continue
-        with mock.patch.object(dynamics, "_witness_root", _unreachable), mock.patch.object(
+        with mock.patch.object(dynamics, "_qn_mod", _unreachable), mock.patch.object(
             dynamics, "discriminant_Pn", _unreachable
         ):
             verdict = str(is_parabolic_up_to(alpha, 5))
@@ -518,21 +569,28 @@ def test_witness_verdicts_equal_the_exact_route(m):
 
 
 def test_witness_keeps_the_parabolic_controls():
+    # the residue vanishes at n = 4 alone, for the cubic and for the
+    # reducible quartic alike, and the exact route confirms the zero
     cubic = parse_parameter("64x^3+144x^2+108x+135@[-2,-15/8]")
     quartic = parse_parameter("(64x^3+144x^2+108x+135)(2x+1)@[-2,-15/8]")
-    assert quartic.degree == 4 and dynamics._witness_root(quartic.minpoly) is None
-    assert dynamics._witness_root(cubic.minpoly) is not None
+    assert quartic.degree == 4
     for alpha in (cubic, quartic):
+        residues = [_witness(alpha.minpoly, n)[1] for n in range(1, 6)]
+        assert [bool(r) for r in residues] == [True, True, True, False, True]
         assert str(is_parabolic_up_to(alpha, 5)) == "Parabolic(4)" == _exact_verdict(alpha)
 
 
-def test_reducible_cubic_takes_the_exact_route(monkeypatch):
-    alpha = parse_parameter("(2x+1)(x^2-3)@[-7/4,-3/2]")
-    assert alpha.degree == 3 and dynamics._witness_root(alpha.minpoly) is None
+def test_reducible_cubic_and_quartic_build_no_pn(monkeypatch):
+    cubic = parse_parameter("(2x+1)(x^2-3)@[-7/4,-3/2]")
+    quartic = parse_parameter("x^4-3@[-2,-1]")
+    assert cubic.degree == 3 and quartic.degree == 4
     built = []
     monkeypatch.setattr(dynamics, "discriminant_Pn", lambda n: built.append(n) or discriminant_Pn(n))
-    assert str(is_parabolic_up_to(alpha, 5)) == "NotUpToBound(5)" == _exact_verdict(alpha)
-    assert built == [1, 2, 3, 4, 5]
+    for alpha in (cubic, quartic):
+        assert str(is_parabolic_up_to(alpha, 5)) == "NotUpToBound(5)"
+    assert built == []
+    monkeypatch.undo()
+    assert _exact_verdict(cubic) == _exact_verdict(quartic) == "NotUpToBound(5)"
 
 
 @given(
@@ -541,47 +599,59 @@ def test_reducible_cubic_takes_the_exact_route(monkeypatch):
     st.lists(st.integers(-20, 20), min_size=3, max_size=3).filter(lambda q: q[2] != 0),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_reducible_quadratics_and_cubics_get_no_certificate(a, b, q):
-    # a root k/j of m reduces to a root mod every p not dividing j, so no
-    # tuple prime can certify a cubic with a rational root; a quadratic with
-    # two rational roots has a square discriminant
-    linear = IntegerPoly((a, b))
-    assert dynamics._witness_root(linear * IntegerPoly(tuple(q))) is None
-    assert dynamics._witness_root(linear * IntegerPoly((q[0], q[2]))) is None
+def test_reducible_minpolys_witness_through_every_factor(a, b, q):
+    # Res(gh, Q) = Res(g, Q) Res(h, Q): the residue of a reducible m is the
+    # product of its factors' residues, so it is zero exactly when one of
+    # them is, and no certificate of irreducibility is needed
+    linear, quadratic = IntegerPoly((a, b)), IntegerPoly(tuple(q))
+    for g, h in ((linear, quadratic), (linear, IntegerPoly((q[0], q[2]))), (quadratic, quadratic)):
+        for n in range(1, 6):
+            p, residue = _witness(g * h, n)
+            assert residue == _witness(g, n)[1] * _witness(h, n)[1] % p, (g, h, n)
 
 
 def test_tiny_primes_keep_every_answer_exact(monkeypatch):
-    # Mod 3 and 7 residues vanish often by accident; each such n goes to the
-    # exact route, so the verdicts stay those of the exact route.
+    # A prime at or below N = n 2^(n-1) cannot recover P_n(4x) mod p from
+    # N + 1 values, so with the primes 3 and 7 every n >= 3 takes the exact
+    # route.  Mod the primes just above 80 = N for n = 5, residues vanish
+    # by accident; each such n goes to the exact route too, so every verdict
+    # stays that of the exact route.  The polynomials are drawn in
+    # y = 4x + 6, which sends (-2, 1) onto (-2, -5/4), outside the windows.
     rng = random.Random(12)
-    monkeypatch.setattr(dynamics, "_WITNESS_PRIMES", (3, 7))
-    false_zeros = witnessed = 0
-    for _ in range(60):
-        m = IntegerPoly(tuple(rng.randint(-40, 40) for _ in range(rng.choice((2, 3)))) + (rng.randint(1, 40),))
-        if squarefree_part(m).degree != m.degree:
-            continue
-        for alpha in _core_irrational_roots(m):
-            zeros = _exact_zeros(alpha)
-            witness = dynamics._witness_root(alpha.minpoly)
-            if witness is not None:
-                witnessed += 1
-                flags = itertools.islice(dynamics._witness_flags(*witness), 5)
-                false_zeros += sum(not flag and not zero for flag, zero in zip(flags, zeros))
-            assert str(is_parabolic_up_to(alpha, 5)) == _exact_verdict(alpha)
-    assert witnessed > 10 and false_zeros > 0
+    shift = IntegerPoly((6, 4))
+    tables = []
+    table = dynamics._qn_mod
+    monkeypatch.setattr(dynamics, "_qn_mod", lambda n, p: tables.append((n, p)) or table(n, p))
+    false_zeros = 0
+    for primes in ((3, 7), (83, 89)):
+        monkeypatch.setattr(dynamics, "_WITNESS_PRIMES", primes)
+        for _ in range(120):
+            q = [rng.randint(-9, 9) for _ in range(rng.choice((2, 3, 4)))] + [rng.randint(1, 9)]
+            m = sum((shift**i * k for i, k in enumerate(q)), IntegerPoly.zero())
+            if squarefree_part(m).degree != m.degree:
+                continue
+            for alpha in _core_irrational_roots(m):
+                zeros = _exact_zeros(alpha)
+                if primes[0] > 80 and dynamics._window_tag(alpha) is None:
+                    residues = [_witness(m, n)[1] for n in range(1, 6)]
+                    false_zeros += sum(not r and not zero for r, zero in zip(residues, zeros))
+                assert str(is_parabolic_up_to(alpha, 5)) == _exact_verdict(alpha)
+    assert tables and all(p > n * 2 ** (n - 1) for n, p in tables)
+    assert {n for n, p in tables if p < 80} == {1, 2} and false_zeros > 0
 
 
-def test_leading_coefficient_divisible_by_every_prime_falls_back():
+def test_leading_coefficient_divisible_by_every_prime_falls_back(monkeypatch):
     # L (2x+3)^k - 1 and + 2 have roots next to -3/2, in [-2, -5/4) and so
-    # outside the Fatou windows, with every tuple prime dividing lc = 2^k L
+    # outside the Fatou windows, with every tuple prime dividing lc = 2^k L:
+    # no table is read and the exact route decides
     lead = 1
     for p in dynamics._WITNESS_PRIMES:
         lead *= p
+    monkeypatch.setattr(dynamics, "_qn_mod", _unreachable)
     for m in (
         IntegerPoly((9, 12, 4)) * lead - IntegerPoly.one(),
         IntegerPoly((27, 54, 36, 8)) * lead + IntegerPoly.constant(2),
     ):
-        assert dynamics._witness_root(m) is None
         roots = _core_irrational_roots(m)
         assert roots
         for alpha in roots:
@@ -593,8 +663,9 @@ def test_witness_primes():
     import sympy
 
     primes = dynamics._WITNESS_PRIMES
+    top = dynamics.DISCRIMINANT_CAP * 2 ** (dynamics.DISCRIMINANT_CAP - 1)
     assert len(primes) == len(set(primes)) == 32
-    assert all(sympy.isprime(p) and p % 4 == 3 and p < 2**30 for p in primes)
+    assert all(sympy.isprime(p) and top < p < 2**30 for p in primes)
 
 
 def _in_c(*texts):
@@ -646,7 +717,7 @@ def test_multiplier_polynomial_norm_at_the_quadratic_pair():
     delta = multiplier_polynomial(4)
     for t in range(-8, 9):
         at_t = sum((k * t**i for i, k in enumerate(delta.coeffs_in_z)), IntegerPoly.zero())
-        assert resultant(IntegerPoly((41, 52, 16)), at_t) == 2**24 * sextic.evaluate(t), t
+        assert resultant(IntegerPoly((41, 52, 16)), at_t) == 2**24 * helpers.evaluate(sextic, t), t
 
 
 def test_multiplier_polynomial_guards():
