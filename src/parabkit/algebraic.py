@@ -12,7 +12,6 @@ and signs of integer polynomials at a value (``sign_at``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import (
@@ -22,6 +21,7 @@ from .polyring import (
     Rat,
     RationalInterval,
     _Bisection,
+    _Record,
     _int_gcd,
     cauchy_bound,
     format_poly,
@@ -65,8 +65,7 @@ def _ensure_squarefree(p: IntegerPoly) -> None:
         raise NotSquarefreeError(f"{p} has a repeated root")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class RealAlgebraic:
+class RealAlgebraic(_Record):
     """One real root of an integer polynomial, pinned by an interval.
 
     Build through make_real_algebraic or from_rational; the constructor does
@@ -79,6 +78,10 @@ class RealAlgebraic:
 
     minpoly: IntegerPoly
     isolation: RationalInterval
+
+    def __init__(self, minpoly, isolation):
+        object.__setattr__(self, "minpoly", minpoly)
+        object.__setattr__(self, "isolation", isolation)
 
     @property
     def degree(self) -> int:

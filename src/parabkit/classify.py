@@ -23,7 +23,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -61,6 +60,7 @@ from .polyring import (
     Rat,
     RationalInterval,
     ZeroPolynomialError,
+    _Record,
     check_digits,
     format_poly,
     isolate_real_roots,
@@ -96,8 +96,7 @@ class PipelineMismatchError(ParabkitError):
     """A pipeline step disagreed with its recorded expectation."""
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(_Record):
     """Per-candidate verdict with its machine-checked reason.
 
     ``verdict`` is "confirmed" or "eliminated".  ``checked_up_to`` records
@@ -117,14 +116,12 @@ class Certificate:
         return f"{self.candidate}: {self.verdict} [{self.reason}]{tail}"
 
 
-@dataclass(frozen=True, slots=True)
-class Environment:
+class Environment(_Record, compare=("nmax",)):
     nmax: int
-    runtime_ms: int = field(compare=False)
+    runtime_ms: int
 
 
-@dataclass(frozen=True, slots=True)
-class ClassificationReport:
+class ClassificationReport(_Record):
     """Outcome of one pipeline run: final parameters plus all certificates."""
 
     proposition: str

@@ -9,7 +9,6 @@ over gcd(k, n) = 1, obtained from Phi_n by the substitution b = x + 1/x.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -21,6 +20,7 @@ from .polyring import (
     ParabkitError,
     Rat,
     RationalInterval,
+    _Record,
     sturm_count,
 )
 
@@ -50,14 +50,13 @@ class InvalidThresholdError(ParabkitError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class OrderSet:
+class OrderSet(_Record):
     """Ascending, duplicate-free collection of positive integers."""
 
     orders: tuple = ()
 
-    def __post_init__(self):
-        cleaned = sorted(set(int(n) for n in self.orders))
+    def __init__(self, orders=()):
+        cleaned = sorted(set(int(n) for n in orders))
         if cleaned and cleaned[0] < 1:
             raise ValueError("orders must be positive")
         object.__setattr__(self, "orders", tuple(cleaned))

@@ -23,7 +23,6 @@ Everything is exact integer or rational arithmetic; nothing rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Union
@@ -39,6 +38,7 @@ from .polyring import (
     discriminant,
     discriminant_in_z,
     _IPOLY_RING,
+    _Record,
     _disc_sign,
     _fp_interpolate,
     _fp_mul,
@@ -132,8 +132,7 @@ class UnresolvedError(ParabkitError):
     """An orbit question could not be settled within the resource budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class CycleCertificate:
+class CycleCertificate(_Record):
     """Exact witness that g's roots form a cycle of f_c with known multiplier."""
 
     period: int
@@ -142,8 +141,7 @@ class CycleCertificate:
     multiplier: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class RealBehavior:
+class RealBehavior(_Record):
     """Tagged classification of the real critical orbit of f_c.
 
     ``detail`` depends on the tag: (period, multiplier root order) for
@@ -174,8 +172,7 @@ _LANDMARKS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ParityCertificate:
+class ParityCertificate(_Record):
     """Mod-2 record showing P_n cannot vanish at b = 0 or b = -6.
 
     Each field is a bit; a valid certificate has all three equal to 1.
@@ -197,8 +194,7 @@ class ParityCertificate:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ParabolicVerdict:
+class ParabolicVerdict(_Record):
     """Outcome of a bounded parabolicity search.
 
     ``kind`` is "parabolic" with n the least witnessing period index, or
@@ -226,8 +222,7 @@ class PcfResult(NamedTuple):
     period: int
 
 
-@dataclass(frozen=True, slots=True)
-class AttractingCycleCertificate:
+class AttractingCycleCertificate(_Record):
     """Exact witness of an attracting cycle of f_c.
 
     Delta_n(lambda, c) takes strictly opposite signs at lambda = lo and

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, Union
@@ -86,18 +85,65 @@ class UnknownVariableError(ParseError):
     pass
 
 
+class _FrozenError(AttributeError):
+    """Raised on assigning or deleting a field of a record."""
+
+
+class _RecordType(type):
+    """Makes each subclass of _Record a slotted, immutable record of the names
+    annotated in its body, in order; a value assigned to one is its default.
+    Equality and hash are those of the tuple of the fields named by the
+    ``compare`` class keyword (all by default), and records of two classes
+    are never equal.  A class keeps its own __init__, __eq__ and __hash__.
+    Unlike dataclasses, no source is generated, so the import stays short."""
+
+    def __new__(mcls, name, bases, ns, compare=None):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        ns["_fields"] = ns["__slots__"] = fields
+        if fields and "__eq__" not in ns:
+            compare = compare or fields
+            key, one = operator.attrgetter(*compare), len(compare) == 1
+            ns["__eq__"] = lambda s, o: key(s) == key(o) if o.__class__ is s.__class__ else NotImplemented
+            ns["__hash__"] = lambda s: hash((key(s),) if one else key(s))
+        return super().__new__(mcls, name, bases, ns)
+
+
+class _Record(metaclass=_RecordType):
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        named = len(args) <= len(fields) and kwargs.keys() <= set(fields[len(args) :])
+        if not named or len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+        for f in fields:
+            object.__setattr__(self, f, values[f])
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise _FrozenError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _FrozenError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 
 
-@dataclass(frozen=True, slots=True)
-class IntegerPoly:
+class IntegerPoly(_Record):
     """Dense univariate polynomial over int, low-to-high coefficients."""
 
     coeffs: tuple = ()
 
-    def __post_init__(self):
-        cs = [operator.index(c) for c in self.coeffs]
+    def __init__(self, coeffs=()):
+        cs = [operator.index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -292,8 +338,7 @@ def _kronecker(a: tuple, b: tuple) -> list:
 # intervals
 
 
-@dataclass(frozen=True, slots=True)
-class RationalInterval:
+class RationalInterval(_Record):
     """Interval with rational endpoints and per-endpoint strictness flags."""
 
     lo: Fraction
@@ -301,13 +346,19 @@ class RationalInterval:
     lo_strict: bool = False
     hi_strict: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval bounds out of order: {self.lo} > {self.hi}")
-        if self.lo == self.hi and (self.lo_strict or self.hi_strict):
+    def __init__(self, lo, hi, lo_strict=False, hi_strict=False):
+        if lo.__class__ is not Fraction:
+            lo = Fraction(lo)
+        if hi.__class__ is not Fraction:
+            hi = Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval bounds out of order: {lo} > {hi}")
+        if lo == hi and (lo_strict or hi_strict):
             raise ValueError("a degenerate interval cannot have strict endpoints")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_strict", lo_strict)
+        object.__setattr__(self, "hi_strict", hi_strict)
 
     @property
     def is_point(self) -> bool:
@@ -480,18 +531,13 @@ def discriminant(p: IntegerPoly) -> int:
 # bivariate layer: polynomials in z over Z[c]
 
 
-@dataclass(frozen=True, slots=True)
-class IteratedMapPoly:
+class IteratedMapPoly(_Record):
     """Polynomial in z whose z-coefficients are IntegerPoly values in c."""
 
     coeffs_in_z: tuple = ()
 
-    def __post_init__(self):
-        cs = []
-        for c in self.coeffs_in_z:
-            if isinstance(c, int):
-                c = IntegerPoly.constant(c)
-            cs.append(c)
+    def __init__(self, coeffs_in_z=()):
+        cs = [IntegerPoly.constant(c) if isinstance(c, int) else c for c in coeffs_in_z]
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs_in_z", tuple(cs))
@@ -510,8 +556,6 @@ class IteratedMapPoly:
 
     @classmethod
     def constant(cls, value) -> "IteratedMapPoly":
-        if isinstance(value, int):
-            value = IntegerPoly.constant(value)
         return cls((value,))
 
     @property
@@ -931,8 +975,8 @@ def isolate_real_roots(p: IntegerPoly):
 
 # caps an exponent and the degree of every value the grammar builds
 _MAX_EXPONENT = 4096
-# caps the estimated work (_work, _power_work) of the products and powers the
-# grammar builds, summed over the whole input
+# caps the estimated work (_work, _power_work, _sum_work) of the products,
+# powers and sums the grammar builds, summed over the whole input
 _MAX_WORK = 2**28
 
 
@@ -1043,6 +1087,15 @@ def _power_work(base: tuple, e: int) -> int:
     return total
 
 
+def _sum_work(a: tuple, b: tuple, m: int) -> int:
+    """A bound on the parser's time for a sum of shapes a, b over the common
+    denominator m, in _work's units: 16384 per step and, per coefficient, 256
+    plus 16 per product of 30-bit digits of the scaled coefficient and of m
+    (measured within 0.5 of it up to 4097 terms and 14000-bit coefficients)."""
+    words = (int(max(a[2], b[2])) + m.bit_length()) // 30 + 1
+    return 16384 + (a[0] + b[0]) * (256 + 16 * words * (m.bit_length() // 30 + 1))
+
+
 class _Parser:
     """Recursive descent over the grammar above, in integers.
 
@@ -1058,7 +1111,7 @@ class _Parser:
     def __init__(self, text: str, var):
         self.toks = _Tokenizer(text)
         self.var = var
-        self.spent = 0  # the work estimates of the products and powers so far
+        self.spent = 0  # the work estimates of the products, powers and sums so far
 
     def parse(self) -> IntegerPoly:
         num, _ = self.parse_expr()
@@ -1105,12 +1158,14 @@ class _Parser:
                 return num, den
             self.toks.take()
             term, d = self.parse_term()
+            m = math.lcm(den, d)
+            work = _sum_work(_shape(num.coeffs), _shape(term.coeffs), m)
+            self.check(start, pos, max(num.degree, term.degree), work=work)
             if ch == "-":
                 term = -term
             if d == den:
                 num, den = _lowest_terms(num + term, den)
             else:
-                m = math.lcm(den, d)
                 num, den = _lowest_terms(num * (m // den) + term * (m // d), m)
             self.check(start, pos, num.degree, num.coeffs, den)
 

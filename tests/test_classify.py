@@ -2,7 +2,6 @@
 
 import collections
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -188,7 +187,12 @@ def test_report_bytes_are_pinned(name, run):
     # the stored reports were written by the literal-dispatch pipelines that
     # the certificate chains replaced; only runtime_ms may differ
     report = run()
-    report = dataclasses.replace(report, environment=Environment(report.environment.nmax, 0))
+    report = ClassificationReport(
+        report.proposition,
+        report.parameters,
+        report.certificates,
+        Environment(report.environment.nmax, 0),
+    )
     with open(os.path.join(_REPORTS, f"{name}.json")) as fh:
         assert report_to_json(report) + "\n" == fh.read()
 
@@ -397,6 +401,22 @@ def test_import_does_not_load_mpmath():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_import_loads_no_dataclasses_machinery():
+    # the record classes are built without dataclasses, which would pull in
+    # inspect, ast and dis; -S keeps site hooks from loading them first
+    import parabkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
+    probe = "import sys; b = set(sys.modules); import parabkit; print(*set(sys.modules) - b)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "parabkit.classify" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis"}
 
 
 def test_fresh_prop2_builds_no_pn():
