@@ -115,12 +115,7 @@ class RealAlgebraic(_Record):
         if iv.is_point or iv.width <= max_width:
             return self
         narrowing = _Bisection(self.minpoly, iv.lo, iv.hi)
-        halvings = narrowing.halvings_to(max_width)
-        narrowing.halve(min(halvings, _REFINE_CAP))
-        iv = narrowing.interval()
-        if halvings > _REFINE_CAP and not iv.is_point:
-            raise ParabkitError("isolation refinement did not converge")
-        return RealAlgebraic(self.minpoly, iv)
+        return RealAlgebraic(self.minpoly, narrowing.narrow(max_width, _REFINE_CAP))
 
     def approx(self, digits: int = 12) -> Fraction:
         """Rational approximation within 10**-digits of the true value."""
@@ -210,11 +205,12 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
     most 1/L it holds at most one of them, k/L with k = ceil(lo*L), the
     least one not below lo; the root is rational exactly when k/L lies in
     the isolation (or the narrowing hit the root) and p(k/L) = 0, both
-    decided exactly, in integers.
+    decided exactly, in integers; a root at an endpoint counts if closed.
 
     Otherwise the stored polynomial is the primitive part with positive
     leading coefficient, and the isolation is clamped to the Cauchy bound
-    (-B, B), which holds every real root, then refined to width at most 1.
+    (-B, B), which holds every real root, then refined as by refined(1); the
+    same bisection state then goes on to width 1/L.
     Irreducibility of p is a caller-supplied precondition (there is no
     factorization engine here); every polynomial the pipelines construct
     has degree at most 2, where squarefree plus no rational root settles it.
@@ -226,16 +222,15 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
     hits = sturm_count(p, interval)
     if hits != 1:
         raise NotIsolatingError(f"{interval} contains {hits} roots of {p}, expected 1")
-    for endpoint in (interval.lo, interval.hi):
-        if interval.contains(endpoint) and p.sign_at(endpoint) == 0:
+    for endpoint, strict in ((interval.lo, interval.lo_strict), (interval.hi, interval.hi_strict)):
+        if not strict and p.sign_at(endpoint) == 0:
             return from_rational(endpoint)
     if p.degree == 1:
         return from_rational(Fraction(-p.coeff(0), p.coeff(1)))
     bound = cauchy_bound(p)
-    clamped = RationalInterval(max(interval.lo, -bound), min(interval.hi, bound), True, True)
-    value = RealAlgebraic(p, clamped).refined(1)
+    fine = _Bisection(p, max(interval.lo, -bound), min(interval.hi, bound))
+    value = RealAlgebraic(p, fine.narrow(1, _REFINE_CAP))  # refined(1), clamped
     lead = p.leading
-    fine = _Bisection(p, value.isolation.lo, value.isolation.hi)
     fine.halve(fine.halvings_to(Fraction(1, lead)))
     lo, hi, d = fine.a * lead, fine.b * lead, fine.d  # lead * (lo, hi), over d
     k = -(-lo // d)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -730,7 +731,8 @@ def _int_primitive_keep_sign(cs: list) -> tuple:
 
 @lru_cache(maxsize=512)
 def _sturm_chain(coeffs: tuple) -> tuple:
-    """Sturm chain of a squarefree integer polynomial, primitive at every step."""
+    """Sturm chain of a squarefree integer polynomial, primitive at every step;
+    otherwise it ends at the last nonzero remainder (see squarefree_part)."""
     f0 = list(coeffs)
     f1 = [i * c for i, c in enumerate(f0)][1:]
     while f1 and f1[-1] == 0:
@@ -797,6 +799,11 @@ def squarefree_part(p: IntegerPoly) -> IntegerPoly:
 
     An exact quotient in Z[x] by Gauss's lemma, cached per polynomial in a
     bounded LRU cache, so the counts and isolations on one p build it once.
+    The gcd is read off the last entry g of _sturm_chain(prim), the PRS that
+    sturm_count reuses: each entry past the second is a nonzero multiple of
+    lc^k f - q h for the two before it, so consecutive entries have the gcd
+    of prim and prim' in Q[x]; g is a constant (prim is squarefree) or
+    divides the entry before it, so g is that gcd: in Z[x], its primitive part.
 
     >>> squarefree_part(IntegerPoly((0, 0, 0, -2))).coeffs
     (0, 1)
@@ -804,7 +811,8 @@ def squarefree_part(p: IntegerPoly) -> IntegerPoly:
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
     prim = p.primitive()
-    return prim.divide_exact(_int_gcd(prim, prim.derivative()))
+    last = _sturm_chain(prim.coeffs)[-1]
+    return prim if len(last) == 1 else prim.divide_exact(IntegerPoly(last).primitive())
 
 
 def cauchy_bound(p: IntegerPoly) -> Fraction:
@@ -910,6 +918,15 @@ class _Bisection:
                 break
         self.a, self.b, self.d = a, b, d
 
+    def narrow(self, width: Fraction, cap: int) -> RationalInterval:
+        """The interval halved to width at most width > 0; needing more than
+        cap halvings raises ParabkitError, unless a midpoint hit the root."""
+        halvings = self.halvings_to(width)
+        self.halve(min(halvings, cap))
+        if halvings > cap and self.a != self.b:
+            raise ParabkitError("isolation refinement did not converge")
+        return self.interval()
+
     def interval(self) -> RationalInterval:
         """The current interval: open, or a point once a midpoint was the root."""
         lo = Fraction(self.a, self.d)
@@ -978,6 +995,9 @@ _MAX_EXPONENT = 4096
 # caps the estimated work (_work, _power_work, _sum_work) of the products,
 # powers and sums the grammar builds, summed over the whole input
 _MAX_WORK = 2**28
+# 10**limit for check_digits, once per sys.get_int_max_str_digits() value
+_power_of_ten = lru_cache(maxsize=4)((10).__pow__)
+_SPACES = re.compile(r"\s+")  # the runs of str.isspace() characters
 
 
 def check_digits(value: Rat, text: str, position: int, power: int = 1) -> None:
@@ -993,7 +1013,7 @@ def check_digits(value: Rat, text: str, position: int, power: int = 1) -> None:
     n = max(abs(value.numerator), value.denominator)
     bits = n.bit_length()
     if limit and bits * power > 3 * limit:
-        if (bits - 1) * power >= 4 * limit or n**power >= 10**limit:
+        if (bits - 1) * power >= 4 * limit or n**power >= _power_of_ten(limit):
             raise ParseError(f"{text!r} has too many digits", position)
 
 
@@ -1001,13 +1021,12 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        # skip[i]: the end of the run of spaces that holds i, from one scan
+        self.skip = {i: run.end() for run in _SPACES.finditer(text) for i in range(*run.span())}
 
     def peek(self):
-        text, pos = self.text, self.pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        self.pos = pos
-        return (text[pos] if pos < len(text) else None), pos
+        pos = self.pos = self.skip.get(self.pos, self.pos)
+        return (self.text[pos] if pos < len(self.text) else None), pos
 
     def take(self):
         ch, pos = self.peek()
@@ -1019,28 +1038,21 @@ class _Tokenizer:
         ch, pos = self.peek()
         if ch is None or not ch.isdigit():
             raise ParseError("expected a number", pos)
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        digits = self.text[start : self.pos]
+        text, end = self.text, pos
+        while end < len(text) and text[end].isdigit():
+            end += 1
+        digits, self.pos = text[pos:end], end
         significant = digits.lstrip("0") or "0"
         # as many digits as 10^(len - 1), checked before int() could refuse it
-        check_digits(10, digits, start, len(significant) - 1)
-        return int(significant), start
-
-
-def _lowest_terms(num: IntegerPoly, den: int) -> tuple:
-    g = math.gcd(den, *num.coeffs)
-    if g == 1:
-        return num, den
-    return IntegerPoly(tuple(c // g for c in num.coeffs)), den // g
+        check_digits(10, digits, pos, len(significant) - 1)
+        return int(significant), pos
 
 
 def _shape(cs: tuple) -> tuple:
     """(length, nonzero coefficients, log2 of the l1 norm, the sum of
     |coefficients|, taken as 1 for zero) of a coefficient tuple; every
     coefficient has at most 1 + int(log2) bits."""
-    return len(cs), sum(1 for c in cs if c), math.log2(max(1, sum(map(abs, cs))))
+    return len(cs), len(cs) - cs.count(0), math.log2(max(1, sum(map(abs, cs))))
 
 
 def _product_shape(a: tuple, b: tuple) -> tuple:
@@ -1099,14 +1111,16 @@ def _sum_work(a: tuple, b: tuple, m: int) -> int:
 class _Parser:
     """Recursive descent over the grammar above, in integers.
 
-    A value is a pair (num, den): an IntegerPoly numerator over a positive
-    int denominator with no factor common to den and every coefficient, so
-    the coefficient c/den in lowest terms is Fraction(c, den).  A power of
-    such a pair needs no reduction: a prime of den dividing every
-    coefficient of num^e would divide every coefficient of num, by Gauss's
-    lemma.  The checks read the lowest-terms coefficients, so the refusals
-    are those of a parser in Fractions.
+    A value is (num, den, shape): an IntegerPoly over a positive int with no
+    factor common to den and every coefficient, so the coefficient c/den in
+    lowest terms is Fraction(c, den), and the _shape of num, worked out once
+    as the value is formed.  A power of such a pair is in lowest terms: a
+    prime of den dividing every coefficient of num^e would divide every
+    coefficient of num, by Gauss's lemma.  The checks read the lowest-terms
+    coefficients, so the refusals are those of a parser in Fractions.
     """
+
+    X = IntegerPoly.x(), 1, _shape((0, 1))  # the variable, as a value
 
     def __init__(self, text: str, var):
         self.toks = _Tokenizer(text)
@@ -1114,7 +1128,7 @@ class _Parser:
         self.spent = 0  # the work estimates of the products, powers and sums so far
 
     def parse(self) -> IntegerPoly:
-        num, _ = self.parse_expr()
+        num = self.parse_expr()[0]
         ch, pos = self.toks.peek()
         if ch is not None:
             raise ParseError(f"unexpected {ch!r}", pos)
@@ -1127,10 +1141,9 @@ class _Parser:
         if degree > _MAX_EXPONENT:
             excess = f"has degree {degree}, above the cap {_MAX_EXPONENT}"
             raise ParseError(f"{self.operand(start)!r} {excess}", pos)
-        limit = sys.get_int_max_str_digits()
-        top = max(max(map(abs, coeffs), default=0), den)
-        # check_digits' own first test, on a bound of every reduced coefficient
-        if limit and top.bit_length() * power > 3 * limit:
+        limit = sys.get_int_max_str_digits() if coeffs else 0
+        # check_digits' own first test, on a bound of every coefficient
+        if limit and max(*map(abs, coeffs), den).bit_length() * power > 3 * limit:
             for c in coeffs:
                 check_digits(Fraction(c, den), self.operand(start), pos, power)
         self.spent += work
@@ -1139,68 +1152,76 @@ class _Parser:
             excess = f"needs work {work} to expand{total}, above the cap {_MAX_WORK}"
             raise ParseError(f"{self.operand(start)!r} {excess}", pos)
 
+    def formed(self, start, pos, num, den) -> tuple:
+        """num/den in lowest terms, refused at pos for a coefficient with too
+        many digits (the shape's l1 norm bounds each); check passed the degree:
+        a sum's is at most, a product's or a power's equal to, the one checked."""
+        g = math.gcd(den, *num.coeffs)
+        if g != 1:
+            num, den = _poly([c // g for c in num.coeffs]), den // g
+        shape = _shape(num.coeffs)
+        limit = sys.get_int_max_str_digits()
+        if limit and max(int(shape[2]) + 1, den.bit_length()) > 3 * limit:
+            for c in num.coeffs:
+                check_digits(Fraction(c, den), self.operand(start), pos)
+        return num, den, shape
+
     def operand(self, start: int) -> str:
         """The text from start to the current position, which a refusal quotes."""
         return self.toks.text[start : self.toks.pos].strip()
 
     def parse_expr(self) -> tuple:
         ch, start = self.toks.peek()
-        negate = False
         if ch in ("+", "-"):
             self.toks.take()
-            negate = ch == "-"
-        num, den = self.parse_term()
-        if negate:
+        num, den, shape = self.parse_term()
+        if ch == "-":
             num = -num
         while True:
             ch, pos = self.toks.peek()
             if ch not in ("+", "-"):
-                return num, den
+                return num, den, shape
             self.toks.take()
-            term, d = self.parse_term()
+            term, d, term_shape = self.parse_term()
             m = math.lcm(den, d)
-            work = _sum_work(_shape(num.coeffs), _shape(term.coeffs), m)
-            self.check(start, pos, max(num.degree, term.degree), work=work)
+            work = _sum_work(shape, term_shape, m)
+            self.check(start, pos, max(shape[0], term_shape[0]) - 1, work=work)
             if ch == "-":
                 term = -term
             if d == den:
-                num, den = _lowest_terms(num + term, den)
+                num, den, shape = self.formed(start, pos, num + term, den)
             else:
-                num, den = _lowest_terms(num * (m // den) + term * (m // d), m)
-            self.check(start, pos, num.degree, num.coeffs, den)
+                num, den, shape = self.formed(start, pos, num * (m // den) + term * (m // d), m)
 
     def parse_term(self) -> tuple:
         start = self.toks.pos
-        num, den = self.parse_factor()
+        num, den, shape = self.parse_factor()
         while True:
             ch, pos = self.toks.peek()
             if ch == "*":
                 self.toks.take()
             elif ch is None or not (ch.isdigit() or ch.isalpha() or ch == "("):
-                return num, den
-            other, d = self.parse_factor()
-            degree = num.degree + other.degree if num.coeffs and other.coeffs else -1
-            self.check(start, pos, degree, work=_work(_shape(num.coeffs), _shape(other.coeffs)))
-            num, den = _lowest_terms(num * other, den * d)
-            self.check(start, pos, num.degree, num.coeffs, den)
+                return num, den, shape
+            other, d, other_shape = self.parse_factor()
+            degree = shape[0] + other_shape[0] - 2 if shape[0] and other_shape[0] else -1
+            self.check(start, pos, degree, work=_work(shape, other_shape))
+            num, den, shape = self.formed(start, pos, num * other, den * d)
 
     def parse_factor(self) -> tuple:
         start = self.toks.pos
-        num, den = self.parse_base()
+        base = num, den, shape = self.parse_base()
         ch, pos = self.toks.peek()
         if ch != "^":
-            return num, den
+            return base
         self.toks.take()
         exponent, epos = self.toks.take_uint()
         if exponent > _MAX_EXPONENT:
             raise ParseError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}", epos)
         # the leading and the lowest nonzero coefficient of base^e are their own e-th powers
         ends = num.coeffs[-1:] + tuple(c for c in num.coeffs if c)[:1]
-        work = _power_work(_shape(num.coeffs), exponent)
-        self.check(start, pos, num.degree * exponent, ends, den, exponent, work)
-        num, den = num**exponent, den**exponent
-        self.check(start, pos, num.degree, num.coeffs, den)
-        return num, den
+        work = _power_work(shape, exponent)
+        self.check(start, pos, (shape[0] - 1) * exponent, ends, den, exponent, work)
+        return self.formed(start, pos, num**exponent, den**exponent)
 
     def parse_base(self) -> tuple:
         ch, pos = self.toks.peek()
@@ -1214,22 +1235,21 @@ class _Parser:
                 raise ParseError("expected ')'", pos2)
             return inner
         if ch.isdigit():
-            num, _ = self.toks.take_uint()
-            ch2, _ = self.toks.peek()
-            if ch2 == "/":
-                self.toks.take()
-                den, dpos = self.toks.take_uint()
-                if den == 0:
-                    raise ParseError("zero denominator", dpos)
-                return _lowest_terms(IntegerPoly((num,)), den)
-            return IntegerPoly((num,)), 1
+            num = _poly([self.toks.take_uint()[0]])
+            if self.toks.peek()[0] != "/":
+                return num, 1, _shape(num.coeffs)
+            self.toks.take()
+            den, dpos = self.toks.take_uint()
+            if den == 0:
+                raise ParseError("zero denominator", dpos)
+            return self.formed(pos, pos, num, den)
         if ch.isalpha():
             self.toks.take()
             if self.var is None:
                 self.var = ch
             elif ch != self.var:
                 raise UnknownVariableError(f"unknown variable {ch!r}, expected {self.var!r}", pos)
-            return IntegerPoly.x(), 1
+            return self.X
         raise ParseError(f"unexpected {ch!r}", pos)
 
 

@@ -35,7 +35,7 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _MAX_EXPONENT, _Tokenizer
+from parabkit.polyring import _MAX_EXPONENT, _Tokenizer, _int_gcd
 
 PAPER_CYCLES = (
     (Fraction(1, 4), IntegerPoly((-1, 2)), 1, Fraction(1)),
@@ -444,6 +444,13 @@ def check_resultant_numeric(seed: int = 2026, cases: int = 30, tol: float = 1e-6
                 worst = max(worst, float(rel))
             done += 1
     return worst
+
+
+def gcd_squarefree_part(p: IntegerPoly) -> IntegerPoly:
+    """primitive(p) / gcd(p, p') with the gcd from a second primitive PRS,
+    _int_gcd: squarefree_part before it read the gcd off the Sturm chain."""
+    prim = p.primitive()
+    return prim.divide_exact(_int_gcd(prim, prim.derivative()))
 
 
 def check_sturm_numeric(seed: int = 7, cases: int = 40) -> None:

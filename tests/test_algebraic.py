@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import real_algebraic_table
+from parabkit import algebraic, polyring
 from parabkit.algebraic import (
     NotIsolatingError,
     NotSquarefreeError,
@@ -24,6 +26,7 @@ from parabkit.cyclotomic import is_cyclotomic_product
 from parabkit.polyring import (
     ConstantPolynomialError,
     IntegerPoly,
+    ParabkitError,
     RationalInterval,
     isolate_real_roots,
     squarefree_part,
@@ -250,6 +253,48 @@ def test_rational_roots_collapse_to_rationals():
     assert not above.is_rational and above > 0
     below = make_real_algebraic(IntegerPoly((0, -1, -10, 1)), RationalInterval(F(-1, 2), F(0), hi_strict=True))
     assert not below.is_rational and below < 0
+
+
+def test_make_real_algebraic_matches_the_recorded_table():
+    for p, lo, hi, lo_strict, hi_strict, *expected in real_algebraic_table.TABLE:
+        interval = RationalInterval(F(lo), F(hi), lo_strict, hi_strict)
+        if len(expected) == 1:
+            with pytest.raises(ParabkitError) as err:
+                make_real_algebraic(IntegerPoly(p), interval)
+            assert type(err.value).__name__ == expected[0], (p, interval)
+            continue
+        value = make_real_algebraic(IntegerPoly(p), interval)
+        minpoly, *isolation = expected
+        assert value.minpoly.coeffs == minpoly, (p, interval)
+        assert value.isolation == RationalInterval(F(isolation[0]), F(isolation[1]), *isolation[2:]), (p, interval)
+    # an isolation that 4096 halvings cannot bring to width 1
+    with pytest.raises(ParabkitError, match="^isolation refinement did not converge$"):
+        make_real_algebraic(IntegerPoly((-(10**1300), 0, 1)), RationalInterval(0, 10**1300))
+
+
+def test_a_fresh_quadratic_builds_one_chain_and_one_bisection(monkeypatch):
+    # counts, not times: one PRS (the cached Sturm chain), no second PRS for
+    # the squarefree model, and one bisection state for both widths
+    calls = {"_int_gcd": 0, "_Bisection": 0}
+    real_gcd = polyring._int_gcd
+
+    def counted_gcd(p, q):
+        calls["_int_gcd"] += 1
+        return real_gcd(p, q)
+
+    class CountedBisection(polyring._Bisection):
+        def __init__(self, *args):
+            calls["_Bisection"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(polyring, "_int_gcd", counted_gcd)
+    monkeypatch.setattr(algebraic, "_int_gcd", counted_gcd)
+    monkeypatch.setattr(algebraic, "_Bisection", CountedBisection)
+    misses = polyring._sturm_chain.cache_info().misses
+    value = make_real_algebraic(IntegerPoly((-1234577, 1000033, 7654321)), RationalInterval(0, 1))
+    assert not value.is_rational and value.isolation.width <= 1
+    assert polyring._sturm_chain.cache_info().misses - misses == 1
+    assert calls == {"_int_gcd": 0, "_Bisection": 1}
 
 
 def test_refined_rejects_a_non_positive_width():

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, resultants, Sturm counts, isolation, parsing."""
 
 import random
+import sys
 import time
 from fractions import Fraction as F
 from itertools import zip_longest
@@ -253,6 +254,28 @@ def test_squarefree_model_has_the_same_roots_once(p, q, e):
     assert squarefree_part(helpers.primitive_of(helpers.RationalPoly(f.coeffs))) == model
 
 
+factors = st.one_of(
+    st.integers(-9, 9).filter(bool).map(lambda c: IntegerPoly((c,))),
+    st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(lambda ab: IntegerPoly((ab[0], ab[1]))),
+    small_int_polys,
+)
+
+
+@given(
+    parts=st.lists(st.tuples(factors, st.integers(min_value=1, max_value=4)), min_size=1, max_size=4),
+    content=st.integers(-12, 12).filter(bool),
+)
+@settings(max_examples=150, deadline=None)
+def test_squarefree_part_matches_the_gcd_route(parts, content):
+    # products with repeated factors, constants, linear factors and content != 1
+    f = IntegerPoly((content,))
+    for g, e in parts:
+        f = f * g**e
+    if f.is_zero:
+        return
+    assert squarefree_part(f) == helpers.gcd_squarefree_part(f)
+
+
 def test_cauchy_bound_contains_roots():
     p = parse_poly("x^2-10x+1")
     bound = cauchy_bound(p)
@@ -380,6 +403,27 @@ def test_parse_poly_errors():
         parse_poly("")
     with pytest.raises(ZeroPolynomialError, match="^zero polynomial has no content$"):
         parse_poly("x-x")
+
+
+def test_long_coefficients_parse_under_each_digit_limit():
+    # coefficients of 14000 bits (4215 digits) are above 3 * 4300 bits, so
+    # check_digits compares each with 10**limit, kept per limit
+    rng = random.Random(14000)
+    cs = [rng.getrandbits(14000) | 1 << 13999 for _ in range(3)]
+    text = f"{cs[2]}x^2+{cs[1]}x-{cs[0]}+{cs[0]}-{cs[0]}"
+    assert parse_poly(text) == IntegerPoly((-cs[0], cs[1], cs[2])).primitive()
+    assert parse_poly(text) == helpers.primitive_of(helpers.parse_rational_poly(text))
+    long_literal = "7" * 4500
+    with pytest.raises(ParseError, match=r"has too many digits \(at position 2\)$"):
+        parse_poly(f"x+{long_literal}")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert parse_poly(f"x+{long_literal}") == IntegerPoly((int(long_literal), 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(ParseError, match=r"has too many digits \(at position 2\)$"):
+        parse_poly(f"x+{long_literal}")
 
 
 @given(st.data())
