@@ -3,8 +3,10 @@
 A ``RealAlgebraic`` is a primitive integer polynomial (its minimal
 polynomial, irreducibility supplied by the caller) together with a rational
 interval isolating exactly one of its real roots. All queries reduce to
-Sturm counts and exact signs of integer polynomials at rationals; nothing is
-approximated unless explicitly asked for through ``approx``.
+Sturm counts and exact signs of integer polynomials at rationals, and the
+sign of a polynomial at the number to one Tarski query on a remainder
+sequence; nothing is approximated unless explicitly asked for through
+``approx``.
 
 There is deliberately no field arithmetic here: the classification
 pipelines only ever need linear maps of a single value (``affine_transform``)
@@ -22,7 +24,7 @@ from .polyring import (
     RationalInterval,
     _Bisection,
     _Record,
-    _int_gcd,
+    _tarski_query,
     cauchy_bound,
     format_poly,
     squarefree_part,
@@ -266,11 +268,12 @@ def is_totally_real(p: IntegerPoly) -> bool:
 
 
 def all_conjugates_in(p: IntegerPoly, interval: RationalInterval) -> bool:
-    """True when p is totally real and every root lies in the interval."""
+    """True when p is totally real and every root lies in the interval:
+    deg p distinct roots there, which makes p totally real."""
     _ensure_squarefree(p)
     if p.degree < 1:
         raise ConstantPolynomialError("conjugate location needs degree >= 1")
-    return is_totally_real(p) and sturm_count(p, interval) == p.degree
+    return sturm_count(p, interval) == p.degree
 
 
 def affine_transform(alpha: RealAlgebraic, s: Rat, t: Rat) -> RealAlgebraic:
@@ -306,58 +309,21 @@ def affine_transform(alpha: RealAlgebraic, s: Rat, t: Rat) -> RealAlgebraic:
     return RealAlgebraic(image, RationalInterval(*ends, True, True)).refined(1)
 
 
-def _scaled_remainder(p: IntegerPoly, m: IntegerPoly) -> IntegerPoly:
-    # d^(deg p + 1) * (p mod m), where d = lc(m) > 0: the same sign as p at
-    # every root of m, with no division.  Horner's rule in Z[x]/(m), each step
-    # scaled by d so that d*x^k can be replaced by minus the lower part of m.
-    d, low = m.leading, m.coeffs[:-1]
-    acc = [0] * len(low)
-    scale = 1
-    for c in reversed(p.coeffs):
-        top = acc[-1]
-        acc = [d * a - top * mj for a, mj in zip([0] + acc[:-1], low)]
-        scale *= d
-        acc[0] += scale * c
-    return IntegerPoly(acc)
-
-
 def sign_at(p: IntegerPoly, alpha: RealAlgebraic) -> int:
     """Exact sign of p(alpha): -1, 0, or +1.
 
     A rational alpha is a single integer sign, IntegerPoly.sign_at.
-    Otherwise p is reduced modulo the minimal polynomial m, in integers, to a
-    positive multiple q of the remainder, which has the sign of p at alpha.
-    Zero is decided by one root count: p(alpha) = 0 exactly when alpha is a
-    root of g = gcd(m, q), and since every root of g is a root of m and the
-    isolation holds one root of m, that is when g has a root in the
-    isolation.  This needs m squarefree only, not irreducible.  Otherwise
-    one integer bisection state (polyring._Bisection, the kernel refined()
-    uses) narrows the isolation on signs of m by 1, 2, 4, ... halvings per
-    round until sturm_count finds no root of q in it; the state carries over
-    from round to round, and doubling keeps the number of root counts
-    logarithmic in the halvings needed.  q has one sign on that whole
-    interval, so its sign at the midpoint, taken in integers by
-    IntegerPoly.sign_at, is the sign of p(alpha).  Every sturm_count call on
-    q after the first reuses its cached squarefree model and Sturm chain.
+    Otherwise the sign is one Tarski query (polyring._tarski_query): the sum
+    of sign p(x) over the roots x of the minimal polynomial m in the
+    isolation, read off one remainder sequence of m and m'p mod m.  The
+    isolation holds one root of m, alpha, so the sum is sign p(alpha),
+    decided exactly with no refinement.  This needs m squarefree only, not
+    irreducible, and covers an endpoint that is another root of m.
+
+    >>> root2 = make_real_algebraic(IntegerPoly((-2, 0, 1)), RationalInterval(1, 2))
+    >>> [sign_at(IntegerPoly(cs), root2) for cs in ((-7, 5), (-2, 0, 1), (-3, 2))]
+    [1, 0, -1]
     """
-    if p.is_zero:
-        return 0
     if alpha.is_rational:
         return p.sign_at(alpha.to_rational())
-    m = alpha.minpoly
-    q = _scaled_remainder(p, m)
-    iv = alpha.isolation
-    common = _int_gcd(m, q)
-    if common.degree > 0 and sturm_count(common, iv):
-        return 0
-    narrowing = _Bisection(m, iv.lo, iv.hi)
-    halvings = 1
-    while halvings <= _REFINE_CAP:
-        if iv.is_point:
-            return q.sign_at(iv.lo)
-        if sturm_count(q, iv) == 0:
-            return q.sign_at(iv.midpoint)
-        narrowing.halve(halvings)
-        iv = narrowing.interval()
-        halvings *= 2
-    raise ParabkitError("sign refinement did not converge")
+    return _tarski_query(alpha.minpoly, p, alpha.isolation)

@@ -596,9 +596,9 @@ def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerd
     Res(m, Q_n) = lc(m)^N prod Q_n(alpha_i) nonzero, so Q_n vanishes at no
     root of m, alpha included.  A zero residue, or no usable prime, sends n
     to the exact route: the sign of the cached bivariate P_n at b = 4 alpha
-    by ``algebraic.sign_at``, which finds a true zero by one gcd.  So a
-    "parabolic" verdict always comes from the exact route, and P_n is built
-    only for an n whose witness residue is zero.
+    by ``algebraic.sign_at``, one Tarski query, which is 0 exactly at a
+    true zero.  So a "parabolic" verdict always comes from the exact route,
+    and P_n is built only for an n whose witness residue is zero.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")

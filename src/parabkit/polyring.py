@@ -12,18 +12,21 @@ Coefficients are stored low-to-high (``coeffs[i]`` multiplies ``x**i``) and
 rendered high-to-low. Resultants use the subresultant polynomial remainder
 sequence, which stays in the coefficient ring with exact divisions only.
 Real-root counting uses Sturm chains built from sign-corrected primitive
-pseudo-remainders. Root isolation splits by Sturm counts until each piece
-holds one root, then narrows it by one integer bisection kernel
-(``_Bisection``): the interval is kept as integer numerators over one
-denominator and each halving takes one sign, with no root count; the
-real-algebraic layer refines through the same kernel. The sign of an
-integer polynomial at a rational a/b is always taken as the sign of
-b^deg * q(a/b), in integers (``IntegerPoly.sign_at``).  Products of long
-dense factors take one big-integer multiplication (Kronecker substitution),
-and arithmetic results skip the public constructor's checks.  Private helpers
-(``_fp_*``) do the arithmetic of polynomials over F_p, as lists of residues:
-products, remainders, Euclidean resultants and interpolation at the nodes
-0, 1, ..., for the modular witness in ``dynamics``.
+pseudo-remainders (``_remainder_chain`` of p and p'); the same sequence of
+m and m'p mod m is a Tarski query (``_tarski_query``), the sign of p at the
+one root of a squarefree m in an interval, with no refinement and no gcd.
+Root isolation splits by Sturm counts until each piece holds one root, then
+narrows it by one integer bisection kernel (``_Bisection``): the interval
+is kept as integer numerators over one denominator and each halving takes
+one sign, with no root count; the real-algebraic layer refines through the
+same kernel. The sign of an integer polynomial at a rational a/b is always
+taken as the sign of b^deg * q(a/b), in integers (``IntegerPoly.sign_at``).
+Products of long dense factors take one big-integer multiplication
+(Kronecker substitution), and arithmetic results skip the public
+constructor's checks.  Private helpers (``_fp_*``) do the arithmetic of
+polynomials over F_p, as lists of residues: products, remainders, Euclidean
+resultants and interpolation at the nodes 0, 1, ..., for the modular
+witness in ``dynamics``.
 """
 from __future__ import annotations
 
@@ -222,19 +225,12 @@ class IntegerPoly(_Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntegerPoly":
-        """Square-and-multiply from the low bit; the parser's _power_work
-        estimates exactly these products."""
+        """Square-and-multiply from the low bit, by _ring_pow; the parser's
+        _power_work prices these products plus the product by one that
+        _ring_pow skips."""
         if n < 0:
             raise ValueError("negative power")
-        result = IntegerPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _ring_pow(self, n, _IPOLY_RING)
 
     def sign_at(self, x: Rat) -> int:
         """Sign of self(x) at a rational x, in integer arithmetic only.
@@ -729,12 +725,10 @@ def _int_primitive_keep_sign(cs: list) -> tuple:
     return tuple(c // g for c in cs)
 
 
-@lru_cache(maxsize=512)
-def _sturm_chain(coeffs: tuple) -> tuple:
-    """Sturm chain of a squarefree integer polynomial, primitive at every step;
-    otherwise it ends at the last nonzero remainder (see squarefree_part)."""
-    f0 = list(coeffs)
-    f1 = [i * c for i, c in enumerate(f0)][1:]
+def _remainder_chain(f0: list, f1: list) -> tuple:
+    """Signed remainder sequence of f0 and f1 (f0, f1, -rem(f0, f1), ...),
+    each entry a positive multiple of the true one, primitive; it ends at
+    the last nonzero remainder, a multiple of gcd(f0, f1)."""
     while f1 and f1[-1] == 0:
         f1.pop()
     chain = [_int_primitive_keep_sign(f0)]
@@ -746,7 +740,7 @@ def _sturm_chain(coeffs: tuple) -> tuple:
         delta = len(f) - len(g)
         r = _prem(list(f), list(g), _INT_RING)
         if not r:
-            break  # non-squarefree input; callers normalize first
+            break
         # _prem multiplies by lc(g)^(delta+1); flip when that factor is negative
         # so the entry stays a positive multiple of the true remainder, negated.
         if g[-1] < 0 and (delta + 1) % 2 == 1:
@@ -755,6 +749,13 @@ def _sturm_chain(coeffs: tuple) -> tuple:
             r = [-ri for ri in r]
         chain.append(_int_primitive_keep_sign(r))
     return tuple(chain)
+
+
+@lru_cache(maxsize=512)
+def _sturm_chain(coeffs: tuple) -> tuple:
+    """Sturm chain of a squarefree integer polynomial, the remainder chain of
+    it and its derivative; otherwise it ends at gcd(p, p') (see squarefree_part)."""
+    return _remainder_chain(list(coeffs), [i * c for i, c in enumerate(coeffs)][1:])
 
 
 def _sign_at(cs: tuple, a: int, b: int) -> int:
@@ -781,16 +782,6 @@ def _sign_changes(chain: tuple, x: Fraction) -> int:
                 flips += 1
             last = s
     return flips
-
-
-def _int_gcd(p: IntegerPoly, q: IntegerPoly) -> IntegerPoly:
-    # gcd in Z[x] by the primitive PRS: every remainder is reduced to its
-    # primitive part, so coefficients stay as small as the gcd allows.  The
-    # result is primitive with positive leading coefficient; p is nonzero.
-    a, b = list(p.coeffs), list(q.coeffs)
-    while b:
-        a, b = b, list(_int_primitive_keep_sign(_prem(a, b, _INT_RING)))
-    return IntegerPoly(a).primitive()
 
 
 @lru_cache(maxsize=512)
@@ -847,6 +838,37 @@ def _sturm_count_int(q: IntegerPoly, interval: RationalInterval) -> int:
     chain = _sturm_chain(q.coeffs)
     total += _sign_changes(chain, interval.lo) - _sign_changes(chain, interval.hi)
     return total
+
+
+def _scaled_remainder(p: IntegerPoly, m: IntegerPoly) -> IntegerPoly:
+    # d^(deg p + 1) * (p mod m), where d = lc(m) > 0: the same sign as p at
+    # every root of m, with no division.  Horner's rule in Z[x]/(m), each step
+    # scaled by d so that d*x^k can be replaced by minus the lower part of m.
+    d, low = m.leading, m.coeffs[:-1]
+    acc = [0] * len(low)
+    scale = 1
+    for c in reversed(p.coeffs):
+        top = acc[-1]
+        acc = [d * a - top * mj for a, mj in zip([0] + acc[:-1], low)]
+        scale *= d
+        acc[0] += scale * c
+    return IntegerPoly(acc)
+
+
+def _tarski_query(m: IntegerPoly, p: IntegerPoly, interval: RationalInterval) -> int:
+    # The sum of sign p(x) over the roots x of m in the open interval, for m
+    # squarefree with lc(m) > 0.  With no root of m at an endpoint, V(lo) -
+    # V(hi) on the remainder chain of m and r is the Cauchy index of r/m
+    # (Sylvester's theorem; Basu, Pollack and Roy, Algorithms in Real
+    # Algebraic Geometry, Thm 2.58).  r, a positive multiple of m'p mod m,
+    # has the index of m'p/m, which near a root x of m is p(x)/(t - x) plus
+    # a finite term: a jump of sign p(x).
+    for endpoint in (interval.lo, interval.hi):
+        if m.sign_at(endpoint) == 0:
+            m = _divide_out_root(m, endpoint)
+    r = _scaled_remainder(m.derivative() * _scaled_remainder(p, m), m)
+    chain = _remainder_chain(list(m.coeffs), list(r.coeffs))
+    return _sign_changes(chain, interval.lo) - _sign_changes(chain, interval.hi)
 
 
 def sturm_count(p: IntegerPoly, interval: RationalInterval) -> int:
@@ -998,6 +1020,8 @@ _MAX_WORK = 2**28
 # 10**limit for check_digits, once per sys.get_int_max_str_digits() value
 _power_of_ten = lru_cache(maxsize=4)((10).__pow__)
 _SPACES = re.compile(r"\s+")  # the runs of str.isspace() characters
+# ASCII digits only: int() and str.isdigit() also take other scripts' digits
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def check_digits(value: Rat, text: str, position: int, power: int = 1) -> None:
@@ -1035,13 +1059,11 @@ class _Tokenizer:
         return ch, pos
 
     def take_uint(self):
-        ch, pos = self.peek()
-        if ch is None or not ch.isdigit():
+        pos = self.peek()[1]
+        run = _DIGITS.match(self.text, pos)
+        if run is None:
             raise ParseError("expected a number", pos)
-        text, end = self.text, pos
-        while end < len(text) and text[end].isdigit():
-            end += 1
-        digits, self.pos = text[pos:end], end
+        digits, self.pos = run.group(), run.end()
         significant = digits.lstrip("0") or "0"
         # as many digits as 10^(len - 1), checked before int() could refuse it
         check_digits(10, digits, pos, len(significant) - 1)
@@ -1086,7 +1108,10 @@ def _work(a: tuple, b: tuple) -> int:
 
 
 def _power_work(base: tuple, e: int) -> int:
-    # the products IntegerPoly.__pow__ forms for base^e, on shape bounds
+    # the products IntegerPoly.__pow__ forms for base^e, on shape bounds, and
+    # the product by one that _ring_pow skips: still an upper bound, and the
+    # work cap keeps its refusals and their positions (pricing it out moves
+    # the refusal of "+".join(["(x+1)^256"] * 200) from 865 to 895)
     total, result = 0, _shape((1,))
     while e:
         if e & 1:
@@ -1200,7 +1225,7 @@ class _Parser:
             ch, pos = self.toks.peek()
             if ch == "*":
                 self.toks.take()
-            elif ch is None or not (ch.isdigit() or ch.isalpha() or ch == "("):
+            elif ch is None or not ("0" <= ch <= "9" or ch.isalpha() or ch == "("):
                 return num, den, shape
             other, d, other_shape = self.parse_factor()
             degree = shape[0] + other_shape[0] - 2 if shape[0] and other_shape[0] else -1
@@ -1234,7 +1259,7 @@ class _Parser:
             if ch2 != ")":
                 raise ParseError("expected ')'", pos2)
             return inner
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = _poly([self.toks.take_uint()[0]])
             if self.toks.peek()[0] != "/":
                 return num, 1, _shape(num.coeffs)

@@ -35,7 +35,8 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _MAX_EXPONENT, _Tokenizer, _int_gcd
+from parabkit.polyring import _INT_RING, _MAX_EXPONENT, _Bisection, _Tokenizer
+from parabkit.polyring import _int_primitive_keep_sign, _prem, _scaled_remainder
 
 PAPER_CYCLES = (
     (Fraction(1, 4), IntegerPoly((-1, 2)), 1, Fraction(1)),
@@ -189,7 +190,7 @@ class _FractionParser:
             ch, pos = self.toks.peek()
             if ch == "*":
                 self.toks.take()
-            elif ch is None or not (ch.isdigit() or ch.isalpha() or ch == "("):
+            elif ch is None or not ("0" <= ch <= "9" or ch.isalpha() or ch == "("):
                 return acc
             acc = acc * self.parse_factor()
             self.check(start, pos, acc.degree, acc.coeffs)
@@ -221,7 +222,7 @@ class _FractionParser:
             if ch2 != ")":
                 raise ParseError("expected ')'", pos2)
             return inner
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num, _ = self.toks.take_uint()
             ch2, _ = self.toks.peek()
             if ch2 == "/":
@@ -444,6 +445,16 @@ def check_resultant_numeric(seed: int = 2026, cases: int = 30, tol: float = 1e-6
                 worst = max(worst, float(rel))
             done += 1
     return worst
+
+
+def _int_gcd(p: IntegerPoly, q: IntegerPoly) -> IntegerPoly:
+    """gcd in Z[x] by the primitive PRS: every remainder is reduced to its
+    primitive part, so coefficients stay as small as the gcd allows.  The
+    result is primitive with positive leading coefficient; p is nonzero."""
+    a, b = list(p.coeffs), list(q.coeffs)
+    while b:
+        a, b = b, list(_int_primitive_keep_sign(_prem(a, b, _INT_RING)))
+    return IntegerPoly(a).primitive()
 
 
 def gcd_squarefree_part(p: IntegerPoly) -> IntegerPoly:
@@ -715,3 +726,36 @@ def fraction_affine_transform(alpha, s, t):
         lo, hi = hi, lo
         lo_s, hi_s = hi_s, lo_s
     return make_real_algebraic(prim, RationalInterval(lo, hi, lo_s, hi_s))
+
+
+def bisection_sign_at(p: IntegerPoly, alpha) -> int:
+    """Reference sign of p(alpha): a gcd for zero, then bisection.
+
+    The algebraic.sign_at that the Tarski query replaced, kept as an oracle.
+    q, a positive multiple of p mod m for the minimal polynomial m, has the
+    sign of p at alpha; p(alpha) = 0 exactly when g = gcd(m, q) has a root in
+    the isolation, which holds one root of m.  Otherwise the isolation is
+    halved by 1, 2, 4, ... halvings per round until it holds no root of q,
+    and the sign of q at its midpoint is the sign of p(alpha).
+    """
+    if p.is_zero:
+        return 0
+    if alpha.is_rational:
+        return p.sign_at(alpha.to_rational())
+    m = alpha.minpoly
+    q = _scaled_remainder(p, m)
+    iv = alpha.isolation
+    common = _int_gcd(m, q)
+    if common.degree > 0 and sturm_count(common, iv):
+        return 0
+    narrowing = _Bisection(m, iv.lo, iv.hi)
+    halvings = 1
+    while halvings <= 4096:
+        if iv.is_point:
+            return q.sign_at(iv.lo)
+        if sturm_count(q, iv) == 0:
+            return q.sign_at(iv.midpoint)
+        narrowing.halve(halvings)
+        iv = narrowing.interval()
+        halvings *= 2
+    raise AssertionError("sign refinement did not converge")

@@ -1,5 +1,6 @@
 """Real algebraic numbers: construction, ordering, conjugates, transforms."""
 
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -275,26 +276,19 @@ def test_make_real_algebraic_matches_the_recorded_table():
 def test_a_fresh_quadratic_builds_one_chain_and_one_bisection(monkeypatch):
     # counts, not times: one PRS (the cached Sturm chain), no second PRS for
     # the squarefree model, and one bisection state for both widths
-    calls = {"_int_gcd": 0, "_Bisection": 0}
-    real_gcd = polyring._int_gcd
-
-    def counted_gcd(p, q):
-        calls["_int_gcd"] += 1
-        return real_gcd(p, q)
+    calls = {"_Bisection": 0}
 
     class CountedBisection(polyring._Bisection):
         def __init__(self, *args):
             calls["_Bisection"] += 1
             super().__init__(*args)
 
-    monkeypatch.setattr(polyring, "_int_gcd", counted_gcd)
-    monkeypatch.setattr(algebraic, "_int_gcd", counted_gcd)
     monkeypatch.setattr(algebraic, "_Bisection", CountedBisection)
     misses = polyring._sturm_chain.cache_info().misses
     value = make_real_algebraic(IntegerPoly((-1234577, 1000033, 7654321)), RationalInterval(0, 1))
     assert not value.is_rational and value.isolation.width <= 1
     assert polyring._sturm_chain.cache_info().misses - misses == 1
-    assert calls == {"_int_gcd": 0, "_Bisection": 1}
+    assert calls == {"_Bisection": 1}
 
 
 def test_refined_rejects_a_non_positive_width():
@@ -374,6 +368,37 @@ def test_sign_at_matches_fraction_evaluation_near_zero(m, g, c, j):
             narrow = helpers.fraction_refined(m, narrow, narrow.width / 2)
         value = helpers.evaluate(p, narrow.midpoint)
         assert sign_at(p, alpha) == (value > 0) - (value < 0)
+
+
+@given(m=squarefree_polys(), cs=st.lists(st.integers(-50, 50), max_size=7))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sign_at_matches_the_gcd_and_bisection_route(m, cs):
+    # the Tarski query against the route it replaced, on reducible minimal
+    # polynomials and isolations that end at another root; p times a factor
+    # of m vanishes at some roots of m and not at others
+    p = IntegerPoly(tuple(cs))
+    polys = [p, p * m]
+    for iv in isolate_real_roots(m):
+        root = make_real_algebraic(m, iv)
+        if root.is_rational:  # a linear minimal polynomial, a factor of m
+            polys += [p * root.minpoly, p * m.divide_exact(root.minpoly)]
+    for iv in _isolations(m):
+        alpha = RealAlgebraic(m, iv)
+        for q in polys:
+            assert sign_at(q, alpha) == helpers.bisection_sign_at(q, alpha), (q, alpha)
+
+
+def test_sign_at_a_convergent_of_sqrt2_within_2_to_the_minus_20000():
+    # p/q, the 16000th convergent after 1/1, is below sqrt2 by less than
+    # 1/q^2 < 2^-40000: the sign needs no refinement of the isolation
+    p, q = 1, 1
+    for _ in range(16000):
+        p, q = p + 2 * q, p + q
+    assert q.bit_length() > 20000
+    sqrt2 = make_real_algebraic(SQRT2_POLY, RationalInterval(1, 2))
+    start = time.monotonic()
+    assert sign_at(IntegerPoly((-p, q)), sqrt2) == 1
+    assert time.monotonic() - start < 1
 
 
 nonzero_scales = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)

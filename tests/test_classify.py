@@ -589,6 +589,9 @@ def test_cli_usage_errors():
         (("multiplier", "--c", "1e5000", "--period", "1", "--cycle-poly", "2x-1"), "'1e5000'"),
         (("classify", "--c", "x^2-2@[1,1e5000]"), "'1e5000'"),
         (("classify", "--c", "x^2-2@[-1e5000,-1]"), "'-1e5000'"),
+        # digits are ASCII only, and any other digit is refused where it stands
+        (("classify", "--c", "x^\u00b2-2@[0,2]"), "error: expected a number (at position 2)"),
+        (("classify", "--c", "\u0663x-2@[0,1]"), "error: unexpected '\u0663' (at position 0)"),
         (("isolate", "--poly", f"x-{long_literal}"), f"'{long_literal}' has too many digits (at position 2)"),
         # a printable coefficient whose isolating interval is not printable
         (("isolate", "--poly", "9" * 4300 + "-x"), f"'an isolating interval endpoint of {'9' * 4300}-x'"),

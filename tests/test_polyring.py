@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import _int_gcd
 from parabkit.cyclotomic import trace_polynomial
 from parabkit.polyring import (
     ConstantPolynomialError,
@@ -30,7 +31,7 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _KRONECKER_RATIO, _int_gcd, _sign_changes
+from parabkit.polyring import _KRONECKER_RATIO, _sign_changes
 
 rational = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 rational_polys = st.lists(rational, min_size=1, max_size=7).map(lambda cs: helpers.RationalPoly(tuple(cs)))
@@ -479,6 +480,8 @@ _expression_texts = st.one_of(
 @example(text="x^1500 x^1500 x^1500")
 @example(text="(x^1500+2)(2x^1500-1/3)^2")
 @example(text="(10^1500x+1)^2(x-10^1500)")
+@example(text="x^\u00b2")  # a superscript two: "expected a number" at 2
+@example(text="\u0663x")  # an Arabic-Indic three: "unexpected" at 0
 def test_integer_parser_matches_the_fraction_parser(text):
     # the value is the primitive part of the value in Fractions, and every
     # refusal has the same type, message and position
