@@ -6,7 +6,8 @@ interval isolating exactly one of its real roots. All queries reduce to
 Sturm counts and exact signs of integer polynomials at rationals, and the
 sign of a polynomial at the number to one Tarski query on a remainder
 sequence; nothing is approximated unless explicitly asked for through
-``approx``.
+``approx``.  The order is exact for any squarefree minimal polynomial;
+``==`` assumes the documented irreducible one.
 
 There is deliberately no field arithmetic here: the classification
 pipelines only ever need linear maps of a single value (``affine_transform``)
@@ -75,7 +76,9 @@ class RealAlgebraic(_Record):
     rational value) or open and holding exactly one root of minpoly. Both
     builders give a rational number a linear minpoly and a point isolation.
     An endpoint of an open isolation may itself be another root of minpoly,
-    such as -1 for (x+1)(x^2-2) on (-1, 2].
+    such as -1 for (x+1)(x^2-2) on (-1, 2].  The order (_compare) is exact
+    for any squarefree minpoly; == assumes it irreducible, as it first
+    compares minimal polynomials.  A rational hashes as its Fraction.
     """
 
     minpoly: IntegerPoly
@@ -108,7 +111,9 @@ class RealAlgebraic(_Record):
         endpoint root; the number of halvings is worked out from the width
         before the first one.  The endpoints are the midpoints that halving
         in Fractions would reach, and a midpoint that is the root gives a
-        point isolation.  More than _REFINE_CAP halvings raise ParabkitError.
+        point isolation.  The caller picks the width, so more than
+        _REFINE_CAP halvings raise ParabkitError; no comparison refines.  As
+        for the order, a squarefree minpoly suffices; == assumes it irreducible.
         """
         max_width = Fraction(max_width)
         if max_width <= 0:
@@ -117,73 +122,58 @@ class RealAlgebraic(_Record):
         if iv.is_point or iv.width <= max_width:
             return self
         narrowing = _Bisection(self.minpoly, iv.lo, iv.hi)
-        return RealAlgebraic(self.minpoly, narrowing.narrow(max_width, _REFINE_CAP))
+        halvings = narrowing.halvings_to(max_width)
+        narrowing.halve(min(halvings, _REFINE_CAP))
+        if halvings > _REFINE_CAP and narrowing.a != narrowing.b:
+            raise ParabkitError("isolation refinement did not converge")
+        return RealAlgebraic(self.minpoly, narrowing.interval())
 
     def approx(self, digits: int = 12) -> Fraction:
         """Rational approximation within 10**-digits of the true value."""
         return self.refined(Fraction(1, 10**digits)).isolation.midpoint
 
-    def _compare_rational(self, q: Rat) -> int:
-        q = Fraction(q)
+    def _compare(self, other) -> int:
+        """-1, 0 or 1 as self is below, at or above other (int, Fraction or
+        RealAlgebraic), exactly.  other outside the open isolation lies on its
+        side, by its own rational comparison with the endpoint.  Inside, m has
+        sign _Bisection.left on (lo, self) and the opposite on (self, hi), so
+        the sign of m at other (one Tarski query if irrational) places it; 0
+        makes other the one root of m there."""
+        algebraic = isinstance(other, RealAlgebraic)
+        if not (algebraic or isinstance(other, (int, Fraction))):
+            raise TypeError(f"cannot order a RealAlgebraic and a {type(other).__name__}")
         if self.is_rational:
             v = self.to_rational()
-            return (v > q) - (v < q)
-        iv = self.isolation
-        if not iv.contains(q):
-            return 1 if iv.lo >= q else -1
-        # q is inside the isolation: the side sign of the bisection kernel
-        # places it left or right of the root, as it would a midpoint.
-        s = self.minpoly.sign_at(q)
-        if s == 0:
-            return 0
-        return 1 if s == _Bisection(self.minpoly, iv.lo, iv.hi).left else -1
+            return -other._compare(v) if algebraic else (v > other) - (v < other)
+        lo, hi = self.isolation.lo, self.isolation.hi
+        if other <= lo:
+            return 1
+        if other >= hi:
+            return -1
+        s = sign_at(self.minpoly, other) if algebraic else self.minpoly.sign_at(other)
+        return 0 if s == 0 else 1 if s == _Bisection(self.minpoly, lo, hi).left else -1
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self._compare_rational(other) == 0
-        if not isinstance(other, RealAlgebraic):
+        if not isinstance(other, (int, Fraction, RealAlgebraic)):
             return NotImplemented
-        if self.minpoly != other.minpoly:
+        if isinstance(other, RealAlgebraic) and self.minpoly != other.minpoly:
             return False
-        if self.isolation == other.isolation:
-            return True
-        shared = self.isolation.intersect(other.isolation)
-        if shared is None:
-            return False
-        return sturm_count(self.minpoly, shared) == 1
+        return self._compare(other) == 0
 
     def __hash__(self) -> int:
-        return hash(self.minpoly.coeffs)
+        return hash(self.to_rational()) if self.is_rational else hash(self.minpoly.coeffs)
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self._compare_rational(other) < 0
-        if not isinstance(other, RealAlgebraic):
-            return NotImplemented
-        if self == other:
-            return False
-        ia, ib = self.isolation, other.isolation
-        a, b = _Bisection(self.minpoly, ia.lo, ia.hi), _Bisection(other.minpoly, ib.lo, ib.hi)
-        steps = 0
-        while ia.intersect(ib) is not None and not (ia.is_point and ib.is_point):
-            steps += 1
-            if steps > _REFINE_CAP:
-                raise ParabkitError("ordering did not converge")
-            a.halve()
-            b.halve()
-            ia, ib = a.interval(), b.interval()
-        return (ia.lo, ia.hi) < (ib.lo, ib.hi)
+        return self._compare(other) < 0
 
     def __le__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self._compare_rational(other) <= 0
-        return self == other or self < other
+        return self._compare(other) <= 0
 
     def __gt__(self, other) -> bool:
-        return not self <= other
+        return self._compare(other) > 0
 
     def __ge__(self, other) -> bool:
-        return not self < other
+        return self._compare(other) >= 0
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -211,8 +201,10 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
 
     Otherwise the stored polynomial is the primitive part with positive
     leading coefficient, and the isolation is clamped to the Cauchy bound
-    (-B, B), which holds every real root, then refined as by refined(1); the
-    same bisection state then goes on to width 1/L.
+    (-B, B), which holds every real root, then halved to width 1, as by
+    refined(1) but uncapped: at most log2(2B) halvings, a number the
+    coefficients of p bound; the same bisection state then goes on to width
+    1/L.
     Irreducibility of p is a caller-supplied precondition (there is no
     factorization engine here); every polynomial the pipelines construct
     has degree at most 2, where squarefree plus no rational root settles it.
@@ -231,7 +223,8 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
         return from_rational(Fraction(-p.coeff(0), p.coeff(1)))
     bound = cauchy_bound(p)
     fine = _Bisection(p, max(interval.lo, -bound), min(interval.hi, bound))
-    value = RealAlgebraic(p, fine.narrow(1, _REFINE_CAP))  # refined(1), clamped
+    fine.halve(fine.halvings_to(1))
+    value = RealAlgebraic(p, fine.interval())  # refined(1), clamped, with no cap
     lead = p.leading
     fine.halve(fine.halvings_to(Fraction(1, lead)))
     lo, hi, d = fine.a * lead, fine.b * lead, fine.d  # lead * (lo, hi), over d

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -398,12 +399,20 @@ def report_from_json(text: str) -> ClassificationReport:
     )
 
 
-def _parse_rational(text: str) -> Fraction:
+# what Fraction() may read, with ASCII digits only, as in the polynomial
+# grammar: Fraction() also takes other scripts' digits and underscores
+_NOT_RATIONAL = re.compile(r"[^0-9+\-/.eE\s]", re.ASCII)
+
+
+def _parse_rational(text: str, position: int = 0, error: str = "not a rational parameter") -> Fraction:
+    bad = _NOT_RATIONAL.search(text)
+    if bad:
+        raise ParseError(f"unexpected {bad.group()!r}", position + bad.start())
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational parameter: {text!r}", 0) from exc
-    check_digits(value, text, 0)
+        raise ParseError(f"{error}: {text!r}", position) from exc
+    check_digits(value, text.strip(), position)
     return value
 
 
@@ -419,12 +428,9 @@ def parse_parameter(text: str) -> RealAlgebraic:
     lo_text, comma, hi_text = interval_text[1:-1].partition(",")
     if not comma:
         raise ParseError(f"expected two comma-separated endpoints in {text!r}", 0)
-    try:
-        lo, hi = Fraction(lo_text.strip()), Fraction(hi_text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad interval endpoint in {text!r}", 0) from exc
-    check_digits(lo, lo_text.strip(), 0)
-    check_digits(hi, hi_text.strip(), 0)
+    start = text.index("[", len(poly_text)) + 1
+    lo = _parse_rational(lo_text, start, "bad interval endpoint")
+    hi = _parse_rational(hi_text, start + len(lo_text) + 1, "bad interval endpoint")
     return make_real_algebraic(parse_poly(poly_text), RationalInterval(lo, hi))
 
 

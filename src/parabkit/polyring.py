@@ -940,15 +940,6 @@ class _Bisection:
                 break
         self.a, self.b, self.d = a, b, d
 
-    def narrow(self, width: Fraction, cap: int) -> RationalInterval:
-        """The interval halved to width at most width > 0; needing more than
-        cap halvings raises ParabkitError, unless a midpoint hit the root."""
-        halvings = self.halvings_to(width)
-        self.halve(min(halvings, cap))
-        if halvings > cap and self.a != self.b:
-            raise ParabkitError("isolation refinement did not converge")
-        return self.interval()
-
     def interval(self) -> RationalInterval:
         """The current interval: open, or a point once a midpoint was the root."""
         lo = Fraction(self.a, self.d)

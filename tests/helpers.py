@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from parabkit.algebraic import from_rational, make_real_algebraic
+from parabkit.algebraic import RealAlgebraic, from_rational, make_real_algebraic
 from parabkit.cyclotomic import cyclotomic_poly, euler_phi, trace_polynomial
 from parabkit.cyclotomic import divisors, moebius
 from parabkit.dynamics import cycle_multiplier, dynatomic_poly, period_poly
@@ -759,3 +759,40 @@ def bisection_sign_at(p: IntegerPoly, alpha) -> int:
         iv = narrowing.interval()
         halvings *= 2
     raise AssertionError("sign refinement did not converge")
+
+
+def halving_compare(a, b, cap: int = 4096):
+    """Reference order of a RealAlgebraic a and b: -1, 0, 1, or None.
+
+    The RealAlgebraic.__lt__ and __eq__ that the exact three-way comparison
+    replaced, kept as an oracle.  A rational b (int or Fraction) lies on the
+    side of a's root that the bisection sign gives it.  Against a
+    RealAlgebraic, equal minimal polynomials with one root in the shared
+    isolation are equal; otherwise both isolations are halved until they
+    part or both are points, and None comes back after cap halvings.
+    """
+    if not isinstance(b, RealAlgebraic):
+        q = Fraction(b)
+        if a.is_rational:
+            v = a.to_rational()
+            return (v > q) - (v < q)
+        iv = a.isolation
+        if not iv.contains(q):
+            return 1 if iv.lo >= q else -1
+        s = a.minpoly.sign_at(q)
+        return 0 if s == 0 else 1 if s == _Bisection(a.minpoly, iv.lo, iv.hi).left else -1
+    ia, ib = a.isolation, b.isolation
+    if a.minpoly == b.minpoly:
+        shared = ia.intersect(ib)
+        if ia == ib or (shared is not None and sturm_count(a.minpoly, shared) == 1):
+            return 0
+    sa, sb = _Bisection(a.minpoly, ia.lo, ia.hi), _Bisection(b.minpoly, ib.lo, ib.hi)
+    for _ in range(cap):
+        if ia.intersect(ib) is None or (ia.is_point and ib.is_point):
+            break
+        sa.halve()
+        sb.halve()
+        ia, ib = sa.interval(), sb.interval()
+    else:
+        return None
+    return ((ia.lo, ia.hi) > (ib.lo, ib.hi)) - ((ia.lo, ia.hi) < (ib.lo, ib.hi))

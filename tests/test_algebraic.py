@@ -84,6 +84,10 @@ def test_equality_is_semantic():
     assert hash(sqrt2_a) == hash(sqrt2_b)
     assert sqrt2_a != _root(SQRT2_POLY, 0)
     assert from_rational(F(1, 2)) == from_rational(F(2, 4))
+    # a rational hashes as its Fraction, so either finds the other in a set
+    half = from_rational(F(1, 2))
+    assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+    assert F(1, 2) in {half} and half in {F(1, 2)} and 3 in {from_rational(3)}
 
 
 def test_ordering():
@@ -93,6 +97,23 @@ def test_ordering():
     assert golden < from_rational(F(2, 3))
     assert from_rational(F(3, 5)) < golden
     assert sorted([sqrt2, golden, neg_sqrt2]) == [neg_sqrt2, golden, sqrt2]
+
+
+def test_ordering_needs_no_narrowing():
+    # two distinct numbers within 2^-10000 of each other, and sqrt2 under a
+    # reducible minimal polynomial against the irreducible one: exact order
+    sqrt2 = make_real_algebraic(SQRT2_POLY, RationalInterval(1, 2))
+    near = make_real_algebraic(IntegerPoly((-(2**10001 + 1), 0, 2**10000)), RationalInterval(1, 2))
+    start = time.monotonic()
+    assert (sqrt2 < near, sqrt2 <= near, sqrt2 > near, sqrt2 >= near) == (True, True, False, False)
+    assert (near < sqrt2, near > sqrt2, sqrt2 == near) == (False, True, False)
+    assert time.monotonic() - start < 0.1
+    reducible = make_real_algebraic(SQRT2_POLY * IntegerPoly((5, 1)), RationalInterval(1, 2))
+    for a, b in ((reducible, sqrt2), (sqrt2, reducible)):
+        assert (a < b, a > b, a <= b, a >= b) == (False, False, True, True)
+        assert a != b  # == compares minimal polynomials first
+    with pytest.raises(TypeError):
+        sqrt2 < 1.5
 
 
 def test_approx_accuracy():
@@ -268,9 +289,10 @@ def test_make_real_algebraic_matches_the_recorded_table():
         minpoly, *isolation = expected
         assert value.minpoly.coeffs == minpoly, (p, interval)
         assert value.isolation == RationalInterval(F(isolation[0]), F(isolation[1]), *isolation[2:]), (p, interval)
-    # an isolation that 4096 halvings cannot bring to width 1
-    with pytest.raises(ParabkitError, match="^isolation refinement did not converge$"):
-        make_real_algebraic(IntegerPoly((-(10**1300), 0, 1)), RationalInterval(0, 10**1300))
+    # an isolation more than 4096 halvings wide: the narrowing to width 1
+    # has no cap, since the Cauchy bound fixes its length
+    wide = make_real_algebraic(IntegerPoly((-(10**1300), 0, 1)), RationalInterval(0, 10**1300))
+    assert wide == from_rational(10**650) and wide.isolation.is_point
 
 
 def test_a_fresh_quadratic_builds_one_chain_and_one_bisection(monkeypatch):
@@ -399,6 +421,31 @@ def test_sign_at_a_convergent_of_sqrt2_within_2_to_the_minus_20000():
     start = time.monotonic()
     assert sign_at(IntegerPoly((-p, q)), sqrt2) == 1
     assert time.monotonic() - start < 1
+
+
+@given(
+    m=squarefree_polys(),
+    n=squarefree_polys(),
+    q=st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_ordering_matches_the_halving_route(m, n, q):
+    # the exact three-way comparison against the halving loop it replaced,
+    # wherever that loop converges: two irrationals, or one and a rational,
+    # on reducible minimal polynomials and isolations ending at a root; a
+    # pair that 64 halvings do not part, such as one number written with two
+    # minimal polynomials, is left out
+    numbers = [RealAlgebraic(p, iv) for p in (m, n) for iv in _isolations(p)]
+    numbers += [from_rational(q)] + [make_real_algebraic(m, iv) for iv in isolate_real_roots(m)]
+    for a in numbers:
+        for b in numbers + [q, round(q)]:
+            expected = helpers.halving_compare(a, b, cap=64)
+            if expected is None:
+                continue
+            # == also asks for the same minimal polynomial
+            equal = expected == 0 and (not isinstance(b, RealAlgebraic) or a.minpoly == b.minpoly)
+            got = (a < b, a <= b, a > b, a >= b, a == b)
+            assert got == (expected < 0, expected <= 0, expected > 0, expected >= 0, equal), (a, b)
 
 
 nonzero_scales = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)

@@ -307,6 +307,7 @@ def test_parse_parameter_rational():
     p = parse_parameter("-7/4")
     assert p.is_rational and p.to_rational() == F(-7, 4)
     assert parse_parameter("3").to_rational() == 3
+    assert parse_parameter("0.25") == F(1, 4) and parse_parameter("1e1300") == 10**1300
 
 
 def test_parse_parameter_algebraic():
@@ -592,6 +593,11 @@ def test_cli_usage_errors():
         # digits are ASCII only, and any other digit is refused where it stands
         (("classify", "--c", "x^\u00b2-2@[0,2]"), "error: expected a number (at position 2)"),
         (("classify", "--c", "\u0663x-2@[0,1]"), "error: unexpected '\u0663' (at position 0)"),
+        (("classify", "--c", "\u0663"), "error: unexpected '\u0663' (at position 0)"),
+        (("classify", "--c", "1_000"), "error: unexpected '_' (at position 1)"),
+        (("classify", "--c", "x-2@[\u0661,\u0663]"), "error: unexpected '\u0661' (at position 5)"),
+        (("classify", "--c", "x-2@[1, 3_0]"), "error: unexpected '_' (at position 9)"),
+        (("multiplier", "--c", "\u0663", "--period", "1", "--cycle-poly", "2x-1"), "(at position 0)"),
         (("isolate", "--poly", f"x-{long_literal}"), f"'{long_literal}' has too many digits (at position 2)"),
         # a printable coefficient whose isolating interval is not printable
         (("isolate", "--poly", "9" * 4300 + "-x"), f"'an isolating interval endpoint of {'9' * 4300}-x'"),
@@ -633,6 +639,13 @@ def test_cli_classify_clamps_wide_isolations():
             code, out = run_cli("classify", "--c", wide, *flags)
             assert code == 0 and (code, out) == run_cli("classify", "--c", tight, *flags), wide
     assert run_cli("classify", "--c", "x^2-2@[1,10]")[1].startswith("x^2-2@[1,2]: ")
+
+
+def test_cli_classify_narrows_an_isolation_past_the_refinement_cap():
+    # sqrt(2^10001) = 2^5000 sqrt2 on [0, 2^5001]: more than 4096 halvings to
+    # width 1, which the Cauchy bound fixes, so no cap applies
+    code, out = run_cli("classify", "--c", f"x^2-{2 * 4**5000}@[0,{2**5001}]")
+    assert code == 0 and out.strip().endswith(": EscapesToInfinity")
 
 
 def test_cli_negative_values_after_space():
