@@ -47,6 +47,7 @@ from .cyclotomic import (
     inverse_totient_upto,
     is_cyclotomic_product,
     moebius,
+    moebius_product,
     trace_polynomial,
 )
 from .algebraic import (
@@ -63,7 +64,6 @@ from .algebraic import (
 )
 from .dynamics import (
     DISCRIMINANT_CAP,
-    ESCAPE_BUDGET,
     ITERATE_CAP,
     AttractingCycleCertificate,
     CapExceededError,
@@ -76,7 +76,6 @@ from .dynamics import (
     ParityCertificate,
     PcfResult,
     RealBehavior,
-    UnresolvedError,
     certify_attracting_cycle,
     cycle_multiplier,
     discriminant_Pn,

@@ -44,9 +44,11 @@ from .dynamics import (
     DISCRIMINANT_CAP,
     ESCAPES_TO_INFINITY,
     RealBehavior,
+    _PARABOLIC_CYCLES,
     certify_attracting_cycle,
     cycle_multiplier,
     discriminant_Pn,
+    escapes,
     is_parabolic_up_to,
     is_pcf_rational,
     parity_certificate,
@@ -132,16 +134,7 @@ class ClassificationReport(_Record):
 
 
 PROP1_EXPECTED = (Fraction(-2), Fraction(-1), Fraction(0))
-PROP2_EXPECTED = (Fraction(-7, 4), Fraction(-5, 4), Fraction(-3, 4), Fraction(1, 4))
-
-# Each parabolic parameter with its cycle polynomial, cycle period, exact
-# multiplier and the least n with P_n(4c) = 0.
-_PARABOLIC_CYCLES = {
-    Fraction(1, 4): (IntegerPoly((-1, 2)), 1, Fraction(1), 1),
-    Fraction(-3, 4): (IntegerPoly((1, 2)), 1, Fraction(-1), 2),
-    Fraction(-5, 4): (IntegerPoly((-1, 4, 4)), 2, Fraction(-1), 4),
-    Fraction(-7, 4): (IntegerPoly((-1, -18, 4, 8)), 3, Fraction(1), 3),
-}
+PROP2_EXPECTED = tuple(sorted(_PARABOLIC_CYCLES))
 
 # Candidates eliminated by an attracting cycle: period n and interval (a, b)
 # on which Delta_n(., c) changes sign at c = (-13 + sqrt5)/8.
@@ -249,7 +242,7 @@ def _prop2_certificate(candidate: RealAlgebraic, nmax: int, settled) -> Certific
     if candidate.is_rational:
         c = candidate.to_rational()
         if c in _PARABOLIC_CYCLES:
-            g, n, lam, index = _PARABOLIC_CYCLES[c]
+            g, n, lam, index, _ = _PARABOLIC_CYCLES[c]
             verdict = is_parabolic_up_to(c, nmax)
             if not (verdict.is_parabolic and verdict.n == index):
                 raise PipelineMismatchError(f"{c} verdict {verdict}, expected Parabolic({index})")
@@ -299,9 +292,9 @@ def prop2_pipeline(nmax: int = 5) -> ClassificationReport:
     every conjugate in [-2, 1), hence a root of an admissible trace
     polynomial, which gives five candidates.  Every parameter then goes
     through the one chain of ``_prop2_certificate``, whose steps read two
-    tables: ``_PARABOLIC_CYCLES`` (confirmed by the least vanishing P_n and
-    an exact cycle) and ``_ATTRACTING_CYCLES`` (eliminated by a sign change
-    of Milnor's Delta_n).  The final set must be exactly
+    tables: ``dynamics._PARABOLIC_CYCLES`` (confirmed by the least vanishing
+    P_n and an exact cycle) and ``_ATTRACTING_CYCLES`` (eliminated by a sign
+    change of Milnor's Delta_n).  The final set must be exactly
     {1/4, -3/4, -5/4, -7/4}.
 
     Every P_n it reads is at a rational point (the parabolic parameters and
@@ -512,8 +505,7 @@ def _run_classify(args) -> int:
     parameter = parse_parameter(args.c)
     if parameter.is_rational:
         behavior = real_behavior(parameter.to_rational())
-    elif parameter < -2 or parameter > Fraction(1, 4):
-        # Same answer as real_behavior gives a rational c outside [-2, 1/4].
+    elif escapes(parameter):
         behavior = RealBehavior(ESCAPES_TO_INFINITY)
     else:
         verdict = is_parabolic_up_to(parameter, DISCRIMINANT_CAP)

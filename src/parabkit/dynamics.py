@@ -13,9 +13,12 @@ gives the value P_n(4c) as its discriminant and builds no P_n (the bounded
 parabolicity search and the parity certificates at b = 0 and b = -6 read
 it), ``verify_cycle`` divides it exactly, and ``dynatomic_poly`` is a
 Moebius quotient of such models.
-Exact cycle multipliers, orbit tests for rational parameters, and the
-multiplier polynomials Delta_n(lambda, c) complete the module: an exact
-sign change of Delta_n(., c) inside [-1, 1] certifies an attracting cycle
+The real line is described once: ``escapes`` (the critical orbit is
+bounded exactly on [-2, 1/4]) and one table of the four parabolic
+parameters, with the Fatou windows between them.  Exact cycle multipliers,
+orbit tests for rational parameters, and the multiplier polynomials
+Delta_n(lambda, c) complete the module: an exact sign change of
+Delta_n(., c) inside [-1, 1] certifies an attracting cycle
 (``certify_attracting_cycle``).
 
 Everything is exact integer or rational arithmetic; nothing rounds.
@@ -52,7 +55,6 @@ __all__ = [
     "NotAFactorError",
     "MultiplierMismatchError",
     "DegreeMismatchError",
-    "UnresolvedError",
     "CycleCertificate",
     "RealBehavior",
     "ParityCertificate",
@@ -61,7 +63,6 @@ __all__ = [
     "AttractingCycleCertificate",
     "ITERATE_CAP",
     "DISCRIMINANT_CAP",
-    "ESCAPE_BUDGET",
     "iterate_map",
     "period_poly",
     "discriminant_Pn",
@@ -80,12 +81,6 @@ __all__ = [
 
 ITERATE_CAP = 6
 DISCRIMINANT_CAP = 5
-ESCAPE_BUDGET = 1000
-
-# Orbit denominators double in bit length every step, so a non-integer
-# bounded orbit exhausts memory long before any plausible iteration budget.
-# The guard turns that into a clean UnresolvedError.
-_ESCAPE_BIT_GUARD = 65536
 
 # Primes for the modular witness of P_n(4c) != 0 at an algebraic c: 32 primes
 # below 2^30, so that a product of two residues fits in two CPython digits,
@@ -128,10 +123,6 @@ class DegreeMismatchError(ParabkitError):
     """The cycle polynomial degree does not equal the claimed period."""
 
 
-class UnresolvedError(ParabkitError):
-    """An orbit question could not be settled within the resource budget."""
-
-
 class CycleCertificate(_Record):
     """Exact witness that g's roots form a cycle of f_c with known multiplier."""
 
@@ -160,16 +151,20 @@ PARABOLIC_LANDMARK = "ParabolicLandmark"
 POSTCRITICALLY_FINITE = "PostcriticallyFinite"
 CORE_BOUNDED_UNRESOLVED = "CoreBoundedUnresolved"
 
-# The parabolic landmarks of the real line, ascending, each with the period
-# and multiplier root order of its parabolic cycle and the tag of the Fatou
-# window that ends there: on that open interval from the landmark before,
-# the named cycle attracts, so f_c has no parabolic cycle (proof in
-# is_parabolic_up_to).
-_LANDMARKS = (
-    (Fraction(-5, 4), (2, 2), None),
-    (Fraction(-3, 4), (1, 2), ATTRACTING_TWO_CYCLE),
-    (Fraction(1, 4), (1, 1), ATTRACTING_FIXED_POINT),
-)
+# The real critical orbit of f_c is bounded exactly on [-2, 1/4] (escapes).
+_ORBIT_BOUNDED = (Fraction(-2), Fraction(1, 4))
+
+# The four real parabolic parameters, descending, each mapped to its cycle
+# polynomial, the period and exact multiplier of that cycle, the least n
+# with P_n(4c) = 0, and the tag of the Fatou window that ends there: on the
+# open interval down to the next parameter the named cycle attracts, so f_c
+# has no parabolic cycle (proof in is_parabolic_up_to).
+_PARABOLIC_CYCLES = {
+    Fraction(1, 4): (IntegerPoly((-1, 2)), 1, Fraction(1), 1, ATTRACTING_FIXED_POINT),
+    Fraction(-3, 4): (IntegerPoly((1, 2)), 1, Fraction(-1), 2, ATTRACTING_TWO_CYCLE),
+    Fraction(-5, 4): (IntegerPoly((-1, 4, 4)), 2, Fraction(-1), 4, None),
+    Fraction(-7, 4): (IntegerPoly((-1, -18, 4, 8)), 3, Fraction(1), 3, None),
+}
 
 
 class ParityCertificate(_Record):
@@ -477,58 +472,70 @@ def is_pcf_rational(c: Rat) -> PcfResult:
         index += 1
 
 
-def escapes(c: Rat, budget: int = ESCAPE_BUDGET) -> bool:
-    """Return True when the critical orbit of f_c provably escapes to infinity.
+def escapes(c: Union[Rat, RealAlgebraic]) -> bool:
+    """True when the critical orbit of f_c escapes to infinity: c < -2 or c > 1/4.
 
-    The witness is an iterate with |z| > max(2, |c|), beyond which the
-    modulus increases monotonically.  Integer parameters are decided exactly
-    through orbit repetition.  For non-integer rationals the search stops at
-    the iteration budget, or earlier when the exact orbit exceeds the bit
-    guard, and raises UnresolvedError; parameters close to the escape
-    boundary can exhaust the budget before producing a witness.
+    c is an int, a Fraction or a RealAlgebraic, compared exactly with the
+    ends of [-2, 1/4]; anything else raises TypeError.  The orbit 0, c,
+    f_c(c), ... is that of x -> x^2 + c:
+    * c > 1/4: f_c(x) - x = (x - 1/2)^2 + c - 1/4 >= c - 1/4 > 0 for every
+      real x, so the orbit increases by at least c - 1/4 at each step and
+      has no fixed point to stop at;
+    * c < -2: f_c(c) = c(c + 1) = |c|(|c| - 1) > max(2, |c|), and once
+      |z| > max(2, |c|), |f_c(z)| >= |z|^2 - |c| > |z|(|z| - 1), with
+      |z| - 1 > 1 growing at every step;
+    * -2 <= c <= 1/4: b = (1 + sqrt(1 - 4c))/2 is real with b^2 + c = b and
+      -b <= c (that is b <= 2), so |x| <= b gives c <= f_c(x) <= b^2 + c = b:
+      f_c maps [-b, b], which holds 0, into itself.
+
+    >>> [escapes(c) for c in (-3, -2, Fraction(1, 4), Fraction(1, 5), 1)]
+    [True, False, False, False, True]
     """
-    c = Fraction(c)
-    if c.denominator == 1:
-        return not is_pcf_rational(c).is_finite
-    bound = max(Fraction(2), abs(c))
-    z = c
-    for _ in range(budget):
-        if abs(z) > bound:
-            return True
-        if z.numerator.bit_length() + z.denominator.bit_length() > _ESCAPE_BIT_GUARD:
-            raise UnresolvedError(f"orbit of {c} undecided within the bit guard")
-        z = z * z + c
-    raise UnresolvedError(f"orbit of {c} undecided within {budget} iterations")
+    if not isinstance(c, (int, Fraction, RealAlgebraic)):
+        raise TypeError(f"escapes needs an int, a Fraction or a RealAlgebraic, not {c!r}")
+    lo, hi = _ORBIT_BOUNDED
+    return c < lo or c > hi
 
 
 def _window_tag(c) -> Union[str, None]:
     """The tag of the Fatou window strictly containing c, or None.
 
-    c is an int, a Fraction or a RealAlgebraic; each endpoint comparison is
-    one exact comparison with a Fraction.
+    The windows lie between adjacent rows of _PARABOLIC_CYCLES, read in
+    ascending order; the lowest row ends no window.  c is an int, a
+    Fraction or a RealAlgebraic; each endpoint comparison is one exact
+    comparison with a Fraction.
     """
-    for (lo, _, _), (hi, _, tag) in zip(_LANDMARKS, _LANDMARKS[1:]):
-        if lo < c < hi:
-            return tag
+    lo = None
+    for hi, row in reversed(_PARABOLIC_CYCLES.items()):
+        if row[4] is not None and lo < c < hi:
+            return row[4]
+        lo = hi
     return None
 
 
 def real_behavior(c: Rat) -> RealBehavior:
-    """Classify the real critical orbit of f_c by exact rational comparisons.
+    """Classify the real critical orbit of f_c at a rational c, exactly.
 
-    No simulation is involved.  The landmarks -5/4, -3/4 and 1/4 are
-    matched literally, and between them lie the Fatou windows, where the
-    exact fixed-point multiplier 1 - sqrt(1 - 4c) (on -3/4 < c < 1/4) or
-    two-cycle multiplier 4(c + 1) (on -5/4 < c < -3/4) is inside (-1, 1);
-    both come from the table is_parabolic_up_to reads.  What remains of
-    [-2, 1/4] is settled by the exact orbit test when possible.
+    No simulation is involved.  Outside [-2, 1/4] the orbit escapes
+    (``escapes``).  A parameter of _PARABOLIC_CYCLES is "ParabolicLandmark"
+    with the period of its parabolic cycle and the root order of its
+    multiplier (1 for 1, 2 for -1).  Between them lie the Fatou windows,
+    where the exact fixed-point multiplier 1 - sqrt(1 - 4c) (on
+    -3/4 < c < 1/4) or two-cycle multiplier 4(c + 1) (on -5/4 < c < -3/4)
+    is inside (-1, 1); both come from the table is_parabolic_up_to reads.
+    What remains of [-2, -5/4) is settled by the exact orbit test when
+    possible.
+
+    >>> real_behavior(Fraction(-7, 4))
+    RealBehavior(tag='ParabolicLandmark', detail=(3, 1))
     """
     c = Fraction(c)
-    if c < -2 or c > _LANDMARKS[-1][0]:
+    if escapes(c):
         return RealBehavior(ESCAPES_TO_INFINITY)
-    for landmark, detail, _ in _LANDMARKS:
-        if c == landmark:
-            return RealBehavior(PARABOLIC_LANDMARK, detail)
+    row = _PARABOLIC_CYCLES.get(c)
+    if row is not None:
+        _, period, multiplier, _, _ = row
+        return RealBehavior(PARABOLIC_LANDMARK, (period, 1 if multiplier == 1 else 2))
     tag = _window_tag(c)
     if tag is not None:
         return RealBehavior(tag)
@@ -573,9 +580,10 @@ def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerd
     P_n(4c) = 0 exactly when f_c^n(z) - z has a multiple root: a point of
     some period k | n whose multiplier lambda has lambda^(n/k) = 1, a
     parabolic cycle.  So inside a window P_n(4c) != 0 for every n.  The
-    endpoints 1/4, -3/4 and -5/4 are parabolic and lie in no open window;
-    each endpoint test is one exact comparison of c with a Fraction.  A
-    window gives only NotUpToBound: "parabolic" comes from the routes below.
+    windows end at rows of _PARABOLIC_CYCLES, which are parabolic and lie in
+    no open window; each endpoint test is one exact comparison of c with a
+    Fraction.  A window gives only NotUpToBound, and a row's recorded least
+    n is never read here: "parabolic" comes from the routes below.
 
     A rational c is tested by point_discriminant(n, c) == 0, which builds no
     P_n.  At an irrational c = alpha with minimal polynomial m, of any degree,

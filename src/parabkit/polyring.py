@@ -377,22 +377,6 @@ class RationalInterval(_Record):
             return False
         return True
 
-    def intersect(self, other: "RationalInterval"):
-        """Intersection, or None when empty."""
-        if self.lo > other.lo or (self.lo == other.lo and self.lo_strict):
-            lo, lo_strict = self.lo, self.lo_strict
-        else:
-            lo, lo_strict = other.lo, other.lo_strict
-        if self.hi < other.hi or (self.hi == other.hi and self.hi_strict):
-            hi, hi_strict = self.hi, self.hi_strict
-        else:
-            hi, hi_strict = other.hi, other.hi_strict
-        if lo > hi:
-            return None
-        if lo == hi and (lo_strict or hi_strict):
-            return None
-        return RationalInterval(lo, hi, lo_strict, hi_strict)
-
     def __str__(self) -> str:
         left = "(" if self.lo_strict else "["
         right = ")" if self.hi_strict else "]"
@@ -772,9 +756,11 @@ def _sign_at(cs: tuple, a: int, b: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(chain: tuple, x: Fraction) -> int:
+def _sign_changes(chain: tuple, x: Fraction, last: int = 0) -> int:
+    # sign changes of the chain at x, zero signs dropped, after a sign last
+    # already taken at x (0: none)
     a, b = x.numerator, x.denominator
-    flips = last = 0
+    flips = 0
     for cs in chain:
         s = _sign_at(cs, a, b)
         if s:
@@ -814,30 +800,20 @@ def cauchy_bound(p: IntegerPoly) -> Fraction:
     return 1 + Fraction(top, abs(p.leading))
 
 
-def _divide_out_root(q: IntegerPoly, r: Fraction) -> IntegerPoly:
-    # q / (b*x - a) for the root r = a/b of q: exact in Z[x], since the
-    # primitive linear factor of a root of q divides q by Gauss's lemma
-    return q.divide_exact(IntegerPoly((-r.numerator, r.denominator)))
-
-
 def _sturm_count_int(q: IntegerPoly, interval: RationalInterval) -> int:
-    # q must be squarefree and primitive. Endpoints that are roots are divided
-    # out first, so the classical open-interval sign-change theorem applies.
+    # q must be squarefree and primitive.  With zero signs dropped, V(lo) -
+    # V(hi) on its Sturm chain counts the roots in (lo, hi]: just past a root
+    # q and q' agree in sign, so V at a root is V just past it and one less
+    # than V just before it.  A root at a closed lo is added, one at a strict
+    # hi taken off; the sign of q at each endpoint is taken once, as the
+    # first sign of V there.
     if q.degree <= 0:
         return 0
-    if interval.is_point:
-        return 1 if q.sign_at(interval.lo) == 0 else 0
-    total = 0
-    for endpoint, strict in ((interval.lo, interval.lo_strict), (interval.hi, interval.hi_strict)):
-        if q.degree > 0 and q.sign_at(endpoint) == 0:
-            if not strict:
-                total += 1
-            q = _divide_out_root(q, endpoint)
-    if q.degree <= 0:
-        return total
     chain = _sturm_chain(q.coeffs)
-    total += _sign_changes(chain, interval.lo) - _sign_changes(chain, interval.hi)
-    return total
+    lo, hi = interval.lo, interval.hi
+    at_lo, at_hi = q.sign_at(lo), q.sign_at(hi)
+    count = _sign_changes(chain[1:], lo, at_lo) - _sign_changes(chain[1:], hi, at_hi)
+    return count + (at_lo == 0 and not interval.lo_strict) - (at_hi == 0 and interval.hi_strict)
 
 
 def _scaled_remainder(p: IntegerPoly, m: IntegerPoly) -> IntegerPoly:
@@ -862,10 +838,15 @@ def _tarski_query(m: IntegerPoly, p: IntegerPoly, interval: RationalInterval) ->
     # (Sylvester's theorem; Basu, Pollack and Roy, Algorithms in Real
     # Algebraic Geometry, Thm 2.58).  r, a positive multiple of m'p mod m,
     # has the index of m'p/m, which near a root x of m is p(x)/(t - x) plus
-    # a finite term: a jump of sign p(x).
+    # a finite term: a jump of sign p(x).  An endpoint root of m is divided
+    # out first, not counted as in _sturm_count_int: just past such a root x,
+    # m and r agree in sign only where p(x) > 0, so V(lo) - V(hi) would take
+    # in or leave out an endpoint root by the sign of p there.  m / (bx - a)
+    # for a root a/b is exact in Z[x]: the primitive linear factor of a root
+    # of m divides m by Gauss's lemma.
     for endpoint in (interval.lo, interval.hi):
         if m.sign_at(endpoint) == 0:
-            m = _divide_out_root(m, endpoint)
+            m = m.divide_exact(IntegerPoly((-endpoint.numerator, endpoint.denominator)))
     r = _scaled_remainder(m.derivative() * _scaled_remainder(p, m), m)
     chain = _remainder_chain(list(m.coeffs), list(r.coeffs))
     return _sign_changes(chain, interval.lo) - _sign_changes(chain, interval.hi)
@@ -877,10 +858,11 @@ def sturm_count(p: IntegerPoly, interval: RationalInterval) -> int:
     Works on the squarefree primitive integer model of p, so repeated roots
     are counted once.  That model and its Sturm chain are each computed once
     per coefficient tuple and kept in bounded LRU caches, so repeated counts
-    on one polynomial (bisection) cost only the sign evaluations.  Roots at
-    the endpoints are divided out and counted by the strictness flags; the
-    rest is V(lo) - V(hi), the drop in sign changes of the chain, with every
-    sign taken exactly in integers as the sign of b^deg * q(a/b) at a/b.
+    on one polynomial (bisection) cost only the sign evaluations.  V(lo) -
+    V(hi), the drop in sign changes of the chain, counts the roots in
+    (lo, hi]; the strictness flags then add or take off a root at an
+    endpoint.  Every sign is taken exactly in integers as the sign of
+    b^deg * q(a/b) at a/b.
 
     >>> sturm_count(IntegerPoly((-2, 0, 1)), RationalInterval(0, 2))
     1

@@ -17,7 +17,7 @@ import mpmath
 from parabkit.algebraic import RealAlgebraic, from_rational, make_real_algebraic
 from parabkit.cyclotomic import cyclotomic_poly, euler_phi, trace_polynomial
 from parabkit.cyclotomic import divisors, moebius
-from parabkit.dynamics import cycle_multiplier, dynatomic_poly, period_poly
+from parabkit.dynamics import cycle_multiplier, dynatomic_poly, is_pcf_rational, period_poly
 from parabkit.polyring import (
     IntegerPoly,
     IteratedMapPoly,
@@ -36,7 +36,7 @@ from parabkit.polyring import (
     sturm_count,
 )
 from parabkit.polyring import _INT_RING, _MAX_EXPONENT, _Bisection, _Tokenizer
-from parabkit.polyring import _int_primitive_keep_sign, _prem, _scaled_remainder
+from parabkit.polyring import _int_primitive_keep_sign, _prem, _remainder_chain, _scaled_remainder
 
 PAPER_CYCLES = (
     (Fraction(1, 4), IntegerPoly((-1, 2)), 1, Fraction(1)),
@@ -761,6 +761,21 @@ def bisection_sign_at(p: IntegerPoly, alpha) -> int:
     raise AssertionError("sign refinement did not converge")
 
 
+def intersect(a: RationalInterval, b: RationalInterval):
+    """Intersection of two intervals, or None when empty."""
+    if a.lo > b.lo or (a.lo == b.lo and a.lo_strict):
+        lo, lo_strict = a.lo, a.lo_strict
+    else:
+        lo, lo_strict = b.lo, b.lo_strict
+    if a.hi < b.hi or (a.hi == b.hi and a.hi_strict):
+        hi, hi_strict = a.hi, a.hi_strict
+    else:
+        hi, hi_strict = b.hi, b.hi_strict
+    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+        return None
+    return RationalInterval(lo, hi, lo_strict, hi_strict)
+
+
 def halving_compare(a, b, cap: int = 4096):
     """Reference order of a RealAlgebraic a and b: -1, 0, 1, or None.
 
@@ -783,12 +798,12 @@ def halving_compare(a, b, cap: int = 4096):
         return 0 if s == 0 else 1 if s == _Bisection(a.minpoly, iv.lo, iv.hi).left else -1
     ia, ib = a.isolation, b.isolation
     if a.minpoly == b.minpoly:
-        shared = ia.intersect(ib)
+        shared = intersect(ia, ib)
         if ia == ib or (shared is not None and sturm_count(a.minpoly, shared) == 1):
             return 0
     sa, sb = _Bisection(a.minpoly, ia.lo, ia.hi), _Bisection(b.minpoly, ib.lo, ib.hi)
     for _ in range(cap):
-        if ia.intersect(ib) is None or (ia.is_point and ib.is_point):
+        if intersect(ia, ib) is None or (ia.is_point and ib.is_point):
             break
         sa.halve()
         sb.halve()
@@ -796,3 +811,50 @@ def halving_compare(a, b, cap: int = 4096):
     else:
         return None
     return ((ia.lo, ia.hi) > (ib.lo, ib.hi)) - ((ia.lo, ia.hi) < (ib.lo, ib.hi))
+
+
+# ---------------------------------------------------------------------------
+# the counts and orbit tests that exact ones replaced, kept as oracles
+
+
+def divide_out_sturm_count(q: IntegerPoly, interval: RationalInterval) -> int:
+    """Roots of a squarefree primitive q in the interval, endpoint roots divided out.
+
+    Each endpoint root is counted by its strictness flag and divided out of
+    q, so that the open-interval Sturm theorem applies to what is left; the
+    signs of that Sturm chain are taken in Fractions.
+    """
+    if q.degree <= 0:
+        return 0
+    if interval.is_point:
+        return 1 if q.sign_at(interval.lo) == 0 else 0
+    total = 0
+    for endpoint, strict in ((interval.lo, interval.lo_strict), (interval.hi, interval.hi_strict)):
+        if q.degree > 0 and q.sign_at(endpoint) == 0:
+            total += not strict
+            q = q.divide_exact(IntegerPoly((-endpoint.numerator, endpoint.denominator)))
+    if q.degree <= 0:
+        return total
+    chain = _remainder_chain(list(q.coeffs), list(q.derivative().coeffs))
+    return total + fraction_sign_changes(chain, interval.lo) - fraction_sign_changes(chain, interval.hi)
+
+
+def iterated_escapes(c, budget: int = 1000, bit_guard: int = 65536):
+    """Escape of the critical orbit of f_c by iteration: True, False or None.
+
+    An integer c is decided by the exact orbit test.  Otherwise True comes
+    with an iterate beyond max(2, |c|), after which the orbit grows, and
+    None when the budget runs out or the orbit's bit size passes the guard.
+    """
+    c = Fraction(c)
+    if c.denominator == 1:
+        return not is_pcf_rational(c).is_finite
+    bound = max(Fraction(2), abs(c))
+    z = c
+    for _ in range(budget):
+        if abs(z) > bound:
+            return True
+        if z.numerator.bit_length() + z.denominator.bit_length() > bit_guard:
+            return None
+        z = z * z + c
+    return None

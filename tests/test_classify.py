@@ -228,8 +228,8 @@ def test_prop2_refuses_an_invalid_parity_certificate(monkeypatch):
 
 
 def test_prop2_refuses_a_wrong_vanishing_index(monkeypatch):
-    g, n, lam, _ = classify._PARABOLIC_CYCLES[F(-5, 4)]
-    monkeypatch.setitem(classify._PARABOLIC_CYCLES, F(-5, 4), (g, n, lam, 2))
+    g, n, lam, _, tag = classify._PARABOLIC_CYCLES[F(-5, 4)]
+    monkeypatch.setitem(classify._PARABOLIC_CYCLES, F(-5, 4), (g, n, lam, 2, tag))
     with pytest.raises(PipelineMismatchError, match=r"-5/4 verdict Parabolic\(4\), expected Parabolic\(2\)"):
         prop2_pipeline()
 
@@ -357,6 +357,16 @@ def test_cli_classify():
     assert code == 0 and "ParabolicLandmark" in out
     code, out = run_cli("classify", "--c", "16x^2+52x+41@[-3/2,-1]")
     assert code == 0 and "NotUpToBound(5)" in out
+
+
+def test_cli_classify_names_every_parabolic_parameter():
+    code, out = run_cli("classify", "--c", "-7/4")
+    assert code == 0 and out.strip() == "-7/4: ParabolicLandmark (3, 1)"
+    code, out = run_cli("classify", "--c", "-7/4", "--json")
+    assert code == 0
+    assert json.loads(out) == {"c": "-7/4", "tag": "ParabolicLandmark", "detail": [3, 1]}
+    code, out = run_cli("classify", "--c", "-3/2", "--json")
+    assert code == 0 and json.loads(out)["tag"] == "CoreBoundedUnresolved"
 
 
 def test_cli_classify_algebraic_outside_core_escapes():

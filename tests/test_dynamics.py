@@ -16,8 +16,8 @@ from parabkit.dynamics import (
     DegreeMismatchError,
     MultiplierMismatchError,
     NotAFactorError,
+    ParabolicVerdict,
     RealBehavior,
-    UnresolvedError,
     certify_attracting_cycle,
     cycle_multiplier,
     discriminant_Pn,
@@ -333,8 +333,55 @@ def test_escapes():
     assert escapes(F(-9, 4)) is True
     assert escapes(0) is False
     assert escapes(-2) is False
-    with pytest.raises(UnresolvedError):
-        escapes(F(-3, 2))
+    assert escapes(F(-3, 2)) is False
+
+
+def test_escapes_is_exact_at_the_ends_and_at_irrationals():
+    for c in (-2, F(-2), F(1, 4), F(-3, 2), F(1, 5), F(-7, 4), from_rational(F(1, 4))):
+        assert escapes(c) is False, c
+    for c in (F(-2) - F(1, 10**30), F(1, 4) + F(1, 10**30), from_rational(F(-9, 4))):
+        assert escapes(c) is True, c
+    inside = (
+        "x^2-2@[-2,-1]",  # -sqrt2
+        "16x^2+52x+41@[-3/2,-1]",  # (sqrt5 - 13)/8
+        "10^12(4x-1)^2-2@[0,1/4]",  # 1/4 - sqrt2/(4 10^6)
+        "10^12(x+2)^2-2@[-2,0]",  # -2 + sqrt2/10^6
+    )
+    outside = (
+        "x^2-5@[2,3]",
+        "x^2-5@[-3,-2]",
+        "10^12(4x-1)^2-2@[1/4,1]",  # 1/4 + sqrt2/(4 10^6)
+        "10^12(x+2)^2-2@[-3,-2]",  # -2 - sqrt2/10^6
+    )
+    for text in inside:
+        assert escapes(parse_parameter(text)) is False, text
+    for text in outside:
+        assert escapes(parse_parameter(text)) is True, text
+    for c in (0.5, "1/4", None):
+        with pytest.raises(TypeError):
+            escapes(c)
+
+
+def test_escapes_agrees_with_the_iterated_orbit():
+    decided = 0
+    for c in {F(k, d) for d in (1, 2, 3, 4, 5, 7, 8, 10, 16) for k in range(-4 * d, 2 * d + 1)}:
+        oracle = helpers.iterated_escapes(c, budget=200, bit_guard=4096)
+        if oracle is not None:
+            assert escapes(c) is oracle, c
+            decided += 1
+    assert decided > 100
+
+
+def test_parabolic_table_rows_are_certified():
+    # each row: the least vanishing index, the cycle and the landmark answer
+    assert len(dynamics._PARABOLIC_CYCLES) == 4
+    for c, (g, period, multiplier, index, _) in dynamics._PARABOLIC_CYCLES.items():
+        assert is_parabolic_up_to(c, 5) == ParabolicVerdict("parabolic", index), c
+        assert verify_cycle(c, g, period, multiplier).multiplier == multiplier
+        assert multiplier in (1, -1)
+        detail = (period, 1 if multiplier == 1 else 2)
+        assert real_behavior(c) == RealBehavior("ParabolicLandmark", detail), c
+        assert dynamics._window_tag(c) is None and not escapes(c)
 
 
 def test_real_behavior_tags():
@@ -430,7 +477,9 @@ def test_real_behavior_reads_the_window_table():
             assert real_behavior(c).tag == tag, c
         elif -2 <= c <= F(1, 4):
             assert real_behavior(c).tag not in ("AttractingFixedPoint", "AttractingTwoCycle"), c
-    for landmark, detail, _ in dynamics._LANDMARKS:
+    details = {F(1, 4): (1, 1), F(-3, 4): (1, 2), F(-5, 4): (2, 2), F(-7, 4): (3, 1)}
+    assert list(dynamics._PARABOLIC_CYCLES) == sorted(details, reverse=True)
+    for landmark, detail in details.items():
         assert real_behavior(landmark) == RealBehavior("ParabolicLandmark", detail)
 
 

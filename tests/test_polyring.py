@@ -4,7 +4,7 @@ import random
 import sys
 import time
 from fractions import Fraction as F
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +31,8 @@ from parabkit.polyring import (
     squarefree_part,
     sturm_count,
 )
-from parabkit.polyring import _KRONECKER_RATIO, _sign_changes
+from parabkit import polyring
+from parabkit.polyring import _KRONECKER_RATIO, _sign_changes, _sturm_chain
 
 rational = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 rational_polys = st.lists(rational, min_size=1, max_size=7).map(lambda cs: helpers.RationalPoly(tuple(cs)))
@@ -291,6 +292,52 @@ def test_sturm_count_endpoints():
     assert sturm_count(p, RationalInterval(F(-1, 2), F(1, 2))) == 0
     sqrt2 = parse_poly("x^2-2")
     assert sturm_count(sqrt2, RationalInterval(F(0), F(2))) == 1
+
+
+small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(
+    roots=st.lists(small_fraction, max_size=3, unique=True),
+    extra=small_int_polys,
+    ends=st.lists(small_fraction, min_size=2, max_size=2),
+    picks=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+)
+@settings(max_examples=150, deadline=None)
+def test_sturm_count_matches_divide_out_count(roots, extra, ends, picks):
+    # rational roots placed at the endpoints, under all four strictness
+    # pairs, and point intervals when both picks name one value
+    p = IntegerPoly.one() if extra.is_zero else extra
+    for r in roots:
+        p = p * IntegerPoly((-r.numerator, r.denominator))
+    if p.degree < 1:
+        return
+    q = squarefree_part(p)
+    points = roots + ends
+    lo, hi = sorted(points[i % len(points)] for i in picks)
+    flags = product((False, True), repeat=2) if lo < hi else [(False, False)]
+    for lo_strict, hi_strict in flags:
+        iv = RationalInterval(lo, hi, lo_strict, hi_strict)
+        assert sturm_count(q, iv) == helpers.divide_out_sturm_count(q, iv), iv
+
+
+def _unreachable(*args):
+    raise AssertionError("an endpoint root was divided out")
+
+
+def test_sturm_count_takes_each_sign_once(monkeypatch):
+    # every endpoint a root: one sign per chain entry and endpoint, no division
+    q = parse_poly("(x-1)(x+1)(2x-1)")
+    chain = _sturm_chain(q.coeffs)
+    calls = []
+    original = polyring._sign_at
+    monkeypatch.setattr(polyring, "_sign_at", lambda cs, a, b: calls.append(cs) or original(cs, a, b))
+    monkeypatch.setattr(IntegerPoly, "divide_exact", _unreachable)
+    for lo_strict, hi_strict in product((False, True), repeat=2):
+        calls.clear()
+        iv = RationalInterval(F(-1), F(1), lo_strict, hi_strict)
+        assert sturm_count(q, iv) == 1 + (not lo_strict) + (not hi_strict)
+        assert len(calls) == 2 * len(chain)
 
 
 wide_rational = st.fractions(min_value=-50, max_value=50, max_denominator=2**70)
