@@ -25,6 +25,7 @@ from .polyring import (
     RationalInterval,
     _Bisection,
     _Record,
+    _sturm_count_int,
     _tarski_query,
     cauchy_bound,
     format_poly,
@@ -213,12 +214,14 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
         raise NotSquarefreeError("the zero polynomial isolates nothing")
     _ensure_squarefree(p)
     p = p.primitive()
-    hits = sturm_count(p, interval)
+    # p, primitive and squarefree, is its own squarefree model
+    hits, at_lo, at_hi = _sturm_count_int(p, interval)
     if hits != 1:
         raise NotIsolatingError(f"{interval} contains {hits} roots of {p}, expected 1")
-    for endpoint, strict in ((interval.lo, interval.lo_strict), (interval.hi, interval.hi_strict)):
-        if not strict and p.sign_at(endpoint) == 0:
-            return from_rational(endpoint)
+    if at_lo == 0 and not interval.lo_strict:
+        return from_rational(interval.lo)
+    if at_hi == 0 and not interval.hi_strict:
+        return from_rational(interval.hi)
     if p.degree == 1:
         return from_rational(Fraction(-p.coeff(0), p.coeff(1)))
     bound = cauchy_bound(p)

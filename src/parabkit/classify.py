@@ -14,6 +14,12 @@ polynomial T_n for an admissible order n", which produces a finite candidate
 list; every candidate is then confirmed or eliminated by an exact certificate.
 The resulting ``ClassificationReport`` serializes to a versioned JSON schema
 and back.
+
+The command line (``cli_main``) reads its subcommands and their arguments
+from one table, ``_COMMANDS``, which also gives the flags whose values may
+start with '-'.  Each ``_run_*`` handler prints nothing: it returns (exit
+code, payload, lines), and ``cli_main`` prints once, nothing under
+``--quiet``, the payload as JSON under ``--json`` and the lines otherwise.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ from .polyring import (
     format_poly,
     isolate_real_roots,
     parse_poly,
+    squarefree_part,
 )
 
 __all__ = [
@@ -340,8 +347,7 @@ def prop2_pipeline(nmax: int = 5) -> ClassificationReport:
     )
 
 
-def report_to_json(report: ClassificationReport) -> str:
-    """Serialize a report with deterministic key order and exact rationals."""
+def _report_payload(report: ClassificationReport) -> dict:
     certificates = []
     for cert in report.certificates:
         entry = {
@@ -353,7 +359,7 @@ def report_to_json(report: ClassificationReport) -> str:
         if cert.modulus_bound is not None:
             entry["modulus_bound"] = str(cert.modulus_bound)
         certificates.append(entry)
-    payload = {
+    return {
         "schema": SCHEMA_ID,
         "proposition": report.proposition,
         "parameters": [str(p) for p in report.parameters],
@@ -363,7 +369,11 @@ def report_to_json(report: ClassificationReport) -> str:
             "runtime_ms": report.environment.runtime_ms,
         },
     }
-    return json.dumps(payload, indent=2)
+
+
+def report_to_json(report: ClassificationReport) -> str:
+    """Serialize a report with deterministic key order and exact rationals."""
+    return json.dumps(_report_payload(report), indent=2)
 
 
 def report_from_json(text: str) -> ClassificationReport:
@@ -427,141 +437,120 @@ def parse_parameter(text: str) -> RealAlgebraic:
     return make_real_algebraic(parse_poly(poly_text), RationalInterval(lo, hi))
 
 
-_USAGE_ERRORS = (
-    ParseError,
-    NotIsolatingError,
-    NotSquarefreeError,
-    ZeroPolynomialError,
-    ConstantPolynomialError,
-)
-
-
-def _emit(args, text: str) -> None:
-    if not args.quiet:
-        print(text)
-
-
-def _emit_json(args, payload) -> None:
-    if not args.quiet:
-        print(json.dumps(payload, indent=2))
-
-
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple:
     if args.proposition == "prop1":
         report = prop1_pipeline()
     else:
         report = prop2_pipeline(nmax=args.nmax)
-    if args.json:
-        _emit(args, report_to_json(report))
-        return 0
-    _emit(args, f"{args.proposition}: parameters {{{', '.join(str(p) for p in report.parameters)}}}")
-    for cert in report.certificates:
-        _emit(args, f"  {cert}")
+    lines = [f"{args.proposition}: parameters {{{', '.join(str(p) for p in report.parameters)}}}"]
+    lines += (f"  {cert}" for cert in report.certificates)
     if args.proposition == "prop2":
-        _emit(args, f"note: {PROP2_CAVEAT}")
-    _emit(args, f"verified in {report.environment.runtime_ms} ms")
-    return 0
+        lines.append(f"note: {PROP2_CAVEAT}")
+    lines.append(f"verified in {report.environment.runtime_ms} ms")
+    return 0, _report_payload(report), lines
 
 
-def _run_pn(args) -> int:
-    pn = discriminant_Pn(args.n)
-    parity = parity_certificate(args.n) if args.check_parity else None
-    if args.json:
-        payload = {"n": args.n, "pn": format_poly(pn, "b")}
-        if parity is not None:
-            payload["parity"] = {
-                "value_at_0_mod2": parity.value_at_0_mod2,
-                "value_at_minus6_mod2": parity.value_at_minus6_mod2,
-                "cross_check_disc_z2n": parity.cross_check_disc_z2n,
-            }
-        _emit_json(args, payload)
-    else:
-        _emit(args, format_poly(pn, "b"))
-        if parity is not None:
-            _emit(
-                args,
-                f"parity: P_{args.n}(0) mod 2 = {parity.value_at_0_mod2}, "
-                f"P_{args.n}(-6) mod 2 = {parity.value_at_minus6_mod2}, "
-                f"disc(z^(2^{args.n}) - z) cross-check = {parity.cross_check_disc_z2n}",
-            )
-    if parity is not None and not parity.is_valid:
-        return 1
-    return 0
+def _run_pn(args) -> tuple:
+    pn = format_poly(discriminant_Pn(args.n), "b")
+    payload = {"n": args.n, "pn": pn}
+    lines = [pn]
+    if not args.check_parity:
+        return 0, payload, lines
+    parity = parity_certificate(args.n)
+    payload["parity"] = {
+        "value_at_0_mod2": parity.value_at_0_mod2,
+        "value_at_minus6_mod2": parity.value_at_minus6_mod2,
+        "cross_check_disc_z2n": parity.cross_check_disc_z2n,
+    }
+    lines.append(
+        f"parity: P_{args.n}(0) mod 2 = {parity.value_at_0_mod2}, "
+        f"P_{args.n}(-6) mod 2 = {parity.value_at_minus6_mod2}, "
+        f"disc(z^(2^{args.n}) - z) cross-check = {parity.cross_check_disc_z2n}"
+    )
+    return (0 if parity.is_valid else 1), payload, lines
 
 
-def _run_kronecker(args) -> int:
+def _run_kronecker(args) -> tuple:
     witness = is_cyclotomic_product(parse_poly(args.poly))
-    if args.json:
-        _emit_json(args, {"is_product": witness.is_product, "orders": list(witness.orders)})
-    elif witness.is_product:
-        orders = ", ".join(str(n) for n in witness.orders)
-        _emit(args, f"product of cyclotomics of orders [{orders}]")
+    if witness.is_product:
+        line = f"product of cyclotomics of orders [{', '.join(str(n) for n in witness.orders)}]"
     else:
-        _emit(args, "not a product of cyclotomics")
-    return 0
+        line = "not a product of cyclotomics"
+    return 0, {"is_product": witness.is_product, "orders": list(witness.orders)}, [line]
 
 
-def _run_classify(args) -> int:
+def _run_classify(args) -> tuple:
     parameter = parse_parameter(args.c)
+    c = str(parameter)
     if parameter.is_rational:
         behavior = real_behavior(parameter.to_rational())
     elif escapes(parameter):
         behavior = RealBehavior(ESCAPES_TO_INFINITY)
     else:
-        verdict = is_parabolic_up_to(parameter, DISCRIMINANT_CAP)
-        if args.json:
-            _emit_json(args, {"c": str(parameter), "parabolic": str(verdict)})
-        else:
-            _emit(args, f"{parameter}: {verdict}")
-        return 0
+        verdict = str(is_parabolic_up_to(parameter, DISCRIMINANT_CAP))
+        return 0, {"c": c, "parabolic": verdict}, [f"{c}: {verdict}"]
     detail = f" {behavior.detail}" if behavior.detail else ""
-    if args.json:
-        _emit_json(args, {"c": str(parameter), "tag": behavior.tag, "detail": list(behavior.detail)})
-    else:
-        _emit(args, f"{parameter}: {behavior.tag}{detail}")
-    return 0
+    payload = {"c": c, "tag": behavior.tag, "detail": list(behavior.detail)}
+    return 0, payload, [f"{c}: {behavior.tag}{detail}"]
 
 
-def _run_multiplier(args) -> int:
+def _run_multiplier(args) -> tuple:
     c = _parse_rational(args.c)
     g = parse_poly(args.cycle_poly)
     lam = cycle_multiplier(g, args.period)
     verify_cycle(c, g, args.period, lam)
-    if args.json:
-        _emit_json(args, {"c": str(c), "period": args.period, "multiplier": str(lam)})
-    else:
-        _emit(args, f"multiplier {lam}")
-    return 0
+    lam = str(lam)
+    return 0, {"c": str(c), "period": args.period, "multiplier": lam}, [f"multiplier {lam}"]
 
 
-def _run_totally_real(args) -> int:
+def _run_totally_real(args) -> tuple:
     answer = is_totally_real(parse_poly(args.poly))
-    if args.json:
-        _emit_json(args, {"totally_real": answer})
-    else:
-        _emit(args, "totally real" if answer else "not totally real")
-    return 0
+    return 0, {"totally_real": answer}, ["totally real" if answer else "not totally real"]
 
 
-def _run_isolate(args) -> int:
-    intervals = isolate_real_roots(parse_poly(args.poly))
-    for iv in intervals:
+def _run_isolate(args) -> tuple:
+    # zero is refused by isolate_real_roots; its squarefree model is cached
+    p = parse_poly(args.poly)
+    intervals = isolate_real_roots(p)
+    q = squarefree_part(p)
+    isolations = [make_real_algebraic(q, iv).isolation for iv in intervals]
+    for iv in isolations:
         for end in (iv.lo, iv.hi):
             check_digits(end, f"an isolating interval endpoint of {args.poly}", 0)
-    if args.json:
-        _emit_json(
-            args,
-            [
-                {"lo": str(iv.lo), "hi": str(iv.hi), "point": iv.is_point}
-                for iv in intervals
-            ],
-        )
-    else:
-        if not intervals:
-            _emit(args, "no real roots")
-        for iv in intervals:
-            _emit(args, str(iv.lo) if iv.is_point else f"({iv.lo}, {iv.hi})")
-    return 0
+    payload = [{"lo": str(iv.lo), "hi": str(iv.hi), "point": iv.is_point} for iv in isolations]
+    lines = [str(iv.lo) if iv.is_point else f"({iv.lo}, {iv.hi})" for iv in isolations]
+    return 0, payload, lines or ["no real roots"]
+
+
+# The subcommands: (name, help, handler, arguments), each argument a name or
+# flag with its add_argument keywords.
+_COMMANDS = (
+    ("verify", "run a classification pipeline", _run_verify, (
+        ("proposition", {"choices": ("prop1", "prop2")}),
+        ("--nmax", {"type": int, "default": 5, "help": "bounded-search period cap"}),
+    )),
+    ("pn", "print the discriminant polynomial P_n", _run_pn, (
+        ("--n", {"type": int, "required": True}),
+        ("--check-parity", {"action": "store_true"}),
+    )),
+    ("kronecker", "test for a product of cyclotomic polynomials", _run_kronecker, (
+        ("--poly", {"required": True}),
+    )),
+    ("classify", "classify the real behavior of one parameter", _run_classify, (
+        ("--c", {"required": True, "help": 'rational "p/q" or "minpoly@[lo,hi]"'}),
+    )),
+    ("multiplier", "verify a cycle and print its multiplier", _run_multiplier, (
+        ("--c", {"required": True}),
+        ("--period", {"type": int, "required": True}),
+        ("--cycle-poly", {"required": True}),
+    )),
+    ("totally-real", "test whether all roots are real", _run_totally_real, (
+        ("--poly", {"required": True}),
+    )),
+    ("isolate", "print isolating intervals for the real roots", _run_isolate, (
+        ("--poly", {"required": True}),
+    )),
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -581,54 +570,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact classification toolkit for the quadratic family z^2 + c.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", parents=[common], help="run a classification pipeline")
-    verify.add_argument("proposition", choices=("prop1", "prop2"))
-    verify.add_argument("--nmax", type=int, default=5, help="bounded-search period cap")
-    verify.set_defaults(run=_run_verify)
-
-    pn = sub.add_parser("pn", parents=[common], help="print the discriminant polynomial P_n")
-    pn.add_argument("--n", type=int, required=True)
-    pn.add_argument("--check-parity", action="store_true")
-    pn.set_defaults(run=_run_pn)
-
-    kronecker = sub.add_parser(
-        "kronecker", parents=[common], help="test for a product of cyclotomic polynomials"
-    )
-    kronecker.add_argument("--poly", required=True)
-    kronecker.set_defaults(run=_run_kronecker)
-
-    classify = sub.add_parser(
-        "classify", parents=[common], help="classify the real behavior of one parameter"
-    )
-    classify.add_argument("--c", required=True, help='rational "p/q" or "minpoly@[lo,hi]"')
-    classify.set_defaults(run=_run_classify)
-
-    multiplier = sub.add_parser(
-        "multiplier", parents=[common], help="verify a cycle and print its multiplier"
-    )
-    multiplier.add_argument("--c", required=True)
-    multiplier.add_argument("--period", type=int, required=True)
-    multiplier.add_argument("--cycle-poly", required=True)
-    multiplier.set_defaults(run=_run_multiplier)
-
-    totally_real = sub.add_parser(
-        "totally-real", parents=[common], help="test whether all roots are real"
-    )
-    totally_real.add_argument("--poly", required=True)
-    totally_real.set_defaults(run=_run_totally_real)
-
-    isolate = sub.add_parser(
-        "isolate", parents=[common], help="print isolating intervals for the real roots"
-    )
-    isolate.add_argument("--poly", required=True)
-    isolate.set_defaults(run=_run_isolate)
+    for name, help_text, run, arguments in _COMMANDS:
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(run=run)
     return parser
 
 
 # Flags whose values may start with '-' (negative rationals, polynomials);
 # merging them into --flag=value form keeps argparse from eating the value.
-_VALUE_FLAGS = frozenset({"--c", "--poly", "--cycle-poly", "--n", "--nmax", "--period"})
+_VALUE_FLAGS = frozenset(
+    flag
+    for _, _, _, arguments in _COMMANDS
+    for flag, options in arguments
+    if flag.startswith("--") and options.get("action") != "store_true"
+)
 
 
 def _normalize_argv(argv) -> list:
@@ -651,23 +608,27 @@ def cli_main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_normalize_argv(list(argv)))
+        # --json and --quiet may come before or after the subcommand: their
+        # defaults are suppressed, so the subcommand's parse keeps the first
+        flags = argparse.Namespace(json=False, quiet=False)
+        args = parser.parse_args(_normalize_argv(list(argv)), flags)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    vars(args).setdefault("json", False)
-    vars(args).setdefault("quiet", False)
     try:
-        return args.run(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+        code, payload, lines = args.run(args)
+    except (
+        ParseError, NotIsolatingError, NotSquarefreeError, ZeroPolynomialError,
+        ConstantPolynomialError, ValueError, ZeroDivisionError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParabkitError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    if not args.quiet:
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    return code
 
 
 def main() -> None:

@@ -369,14 +369,6 @@ class RationalInterval(_Record):
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x: Rat) -> bool:
-        x = Fraction(x)
-        if x < self.lo or (x == self.lo and self.lo_strict):
-            return False
-        if x > self.hi or (x == self.hi and self.hi_strict):
-            return False
-        return True
-
     def __str__(self) -> str:
         left = "(" if self.lo_strict else "["
         right = ")" if self.hi_strict else "]"
@@ -800,20 +792,20 @@ def cauchy_bound(p: IntegerPoly) -> Fraction:
     return 1 + Fraction(top, abs(p.leading))
 
 
-def _sturm_count_int(q: IntegerPoly, interval: RationalInterval) -> int:
-    # q must be squarefree and primitive.  With zero signs dropped, V(lo) -
-    # V(hi) on its Sturm chain counts the roots in (lo, hi]: just past a root
-    # q and q' agree in sign, so V at a root is V just past it and one less
-    # than V just before it.  A root at a closed lo is added, one at a strict
-    # hi taken off; the sign of q at each endpoint is taken once, as the
-    # first sign of V there.
-    if q.degree <= 0:
-        return 0
+def _sturm_count_int(q: IntegerPoly, interval: RationalInterval) -> tuple:
+    # (count, sign of q at lo, sign of q at hi) for q squarefree and
+    # primitive.  With zero signs dropped, V(lo) - V(hi) on its Sturm chain
+    # counts the roots in (lo, hi]: just past a root q and q' agree in sign,
+    # so V at a root is V just past it and one less than V just before it.
+    # A root at a closed lo is added, one at a strict hi taken off; the sign
+    # of q at each endpoint is taken once, as the first sign of V there, and
+    # returned for the caller's own endpoint tests.
     chain = _sturm_chain(q.coeffs)
     lo, hi = interval.lo, interval.hi
     at_lo, at_hi = q.sign_at(lo), q.sign_at(hi)
     count = _sign_changes(chain[1:], lo, at_lo) - _sign_changes(chain[1:], hi, at_hi)
-    return count + (at_lo == 0 and not interval.lo_strict) - (at_hi == 0 and interval.hi_strict)
+    count += (at_lo == 0 and not interval.lo_strict) - (at_hi == 0 and interval.hi_strict)
+    return count, at_lo, at_hi
 
 
 def _scaled_remainder(p: IntegerPoly, m: IntegerPoly) -> IntegerPoly:
@@ -869,7 +861,7 @@ def sturm_count(p: IntegerPoly, interval: RationalInterval) -> int:
     """
     if p.is_zero:
         raise ZeroPolynomialError("root counting needs a nonzero polynomial")
-    return _sturm_count_int(squarefree_part(p), interval)
+    return _sturm_count_int(squarefree_part(p), interval)[0]
 
 
 class _Bisection:
@@ -951,7 +943,7 @@ def isolate_real_roots(p: IntegerPoly):
     stack = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
-        k = _sturm_count_int(q, RationalInterval(lo, hi, True, True))
+        k = _sturm_count_int(q, RationalInterval(lo, hi, True, True))[0]
         if k == 0:
             continue
         if k == 1:

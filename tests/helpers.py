@@ -761,6 +761,14 @@ def bisection_sign_at(p: IntegerPoly, alpha) -> int:
     raise AssertionError("sign refinement did not converge")
 
 
+def contains(iv: RationalInterval, x) -> bool:
+    """Whether the interval holds the rational x, endpoint strictness included."""
+    x = Fraction(x)
+    if x < iv.lo or (x == iv.lo and iv.lo_strict):
+        return False
+    return not (x > iv.hi or (x == iv.hi and iv.hi_strict))
+
+
 def intersect(a: RationalInterval, b: RationalInterval):
     """Intersection of two intervals, or None when empty."""
     if a.lo > b.lo or (a.lo == b.lo and a.lo_strict):
@@ -792,7 +800,7 @@ def halving_compare(a, b, cap: int = 4096):
             v = a.to_rational()
             return (v > q) - (v < q)
         iv = a.isolation
-        if not iv.contains(q):
+        if not contains(iv, q):
             return 1 if iv.lo >= q else -1
         s = a.minpoly.sign_at(q)
         return 0 if s == 0 else 1 if s == _Bisection(a.minpoly, iv.lo, iv.hi).left else -1

@@ -48,7 +48,7 @@ def test_construction_from_isolating_interval():
     assert not alpha.is_rational
     assert alpha.degree == 2
     assert alpha.minpoly == SQRT2_POLY
-    assert alpha.isolation.contains(alpha.approx(30))
+    assert helpers.contains(alpha.isolation, alpha.approx(30))
 
 
 def test_construction_rejects_bad_intervals():
@@ -131,11 +131,23 @@ def test_refined_preserves_identity():
     assert tight.isolation.width <= F(1, 10**12)
 
 
+def test_make_real_algebraic_takes_each_endpoint_sign_once(monkeypatch):
+    # the root count's two endpoint signs also decide the closed-endpoint
+    # roots; then one sign starts the bisection state (at the Cauchy bound
+    # -12/7) and one tests the rational candidate
+    taken = []
+    sign_at = IntegerPoly.sign_at
+    monkeypatch.setattr(IntegerPoly, "sign_at", lambda p, x: taken.append(x) or sign_at(p, x))
+    alpha = make_real_algebraic(IntegerPoly((-3, 5, 7)), RationalInterval(F(-2), F(-1)))
+    assert not alpha.is_rational
+    assert taken[:3] == [F(-2), F(-1), F(-12, 7)] and len(taken) == 4
+
+
 def test_excluded_endpoint_root_keeps_the_isolated_root():
     # -1 is a root of x^2-1 but lies outside (-1, 2]; the one root inside is 1.
     one = make_real_algebraic(IntegerPoly((-1, 0, 1)), RationalInterval(F(-1), F(2), lo_strict=True))
     assert one == 1
-    assert one.refined(F(1, 2**40)).isolation.contains(F(1))
+    assert helpers.contains(one.refined(F(1, 2**40)).isolation, F(1))
     assert from_rational(F(1, 2)) < one < from_rational(F(3, 2))
 
 

@@ -1,10 +1,12 @@
 """Classification pipelines, JSON reports, and the command line interface."""
 
+import argparse
 import collections
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -552,6 +554,19 @@ def test_cli_isolate():
     code, out = run_cli("isolate", "--poly", "x^2-3x+2")
     assert code == 0
     assert [line.strip() for line in out.strip().splitlines()] == ["1", "2"]
+    # rational roots print exactly, as points in JSON
+    for poly, expected in (
+        ("3x^2-x-2", ["-2/3", "1"]),
+        ("x-12345678901234567890", ["12345678901234567890"]),
+        ("(x-3)(x^2-2)", ["(-49/32, -21/16)", "(21/16, 49/32)", "3"]),
+    ):
+        code, out = run_cli("isolate", "--poly", poly)
+        assert code == 0 and out.splitlines() == expected, poly
+    code, out = run_cli("isolate", "--poly", "3x^2-x-2", "--json")
+    assert code == 0 and json.loads(out) == [
+        {"lo": "-2/3", "hi": "-2/3", "point": True},
+        {"lo": "1", "hi": "1", "point": True},
+    ]
 
 
 def test_cli_verify_prop1():
@@ -609,8 +624,9 @@ def test_cli_usage_errors():
         (("classify", "--c", "x-2@[1, 3_0]"), "error: unexpected '_' (at position 9)"),
         (("multiplier", "--c", "\u0663", "--period", "1", "--cycle-poly", "2x-1"), "(at position 0)"),
         (("isolate", "--poly", f"x-{long_literal}"), f"'{long_literal}' has too many digits (at position 2)"),
-        # a printable coefficient whose isolating interval is not printable
-        (("isolate", "--poly", "9" * 4300 + "-x"), f"'an isolating interval endpoint of {'9' * 4300}-x'"),
+        # a printable coefficient whose irrational root's isolating interval
+        # is not printable
+        (("isolate", "--poly", "x^2-1" + "0" * 4299), f"'an isolating interval endpoint of x^2-1{'0' * 4299}'"),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -639,6 +655,8 @@ def test_cli_usage_errors():
         assert time.monotonic() - start < 1, argv[:3]
         assert quoted in err.getvalue(), argv[:3]
         assert "Exceeds the limit" not in err.getvalue(), argv[:3]
+    # a rational root prints exactly, here 10^4300 - 1, at the digit limit
+    assert run_cli("isolate", "--poly", "9" * 4300 + "-x") == (0, "9" * 4300 + "\n")
 
 
 def test_cli_classify_clamps_wide_isolations():
@@ -664,6 +682,100 @@ def test_cli_negative_values_after_space():
     assert code == 0 and "AttractingTwoCycle" in out
     code, out = run_cli("classify", "--c", "-2")
     assert code == 0 and "PostcriticallyFinite" in out
+
+
+# one valid argv per subcommand
+_ONE_PER_COMMAND = (
+    ("verify", "prop1"),
+    ("pn", "--n", "2", "--check-parity"),
+    ("kronecker", "--poly", "x^4+x^3+2x^2+x+1"),
+    ("classify", "--c", "-7/4"),
+    ("multiplier", "--c", "-5/4", "--period", "2", "--cycle-poly", "4z^2+4z-1"),
+    ("totally-real", "--poly", "16x^2+52x+41"),
+    ("isolate", "--poly", "(x-3)(x^2-2)"),
+)
+
+
+# the runtime, the one field that differs between two runs of one command
+_RUNTIME = re.compile(r'(verified in |"runtime_ms": )[0-9]+')
+
+
+def _masked(text: str) -> str:
+    return _RUNTIME.sub(r"\1#", text)
+
+
+@pytest.mark.parametrize("argv", _ONE_PER_COMMAND, ids=lambda argv: argv[0])
+def test_cli_output_flags_before_or_after_the_subcommand(argv):
+    code, text = run_cli(*argv)
+    assert text.strip() and text.endswith("\n")
+    documents = set()
+    for json_at in (None, "before", "after"):
+        for quiet_at in (None, "before", "after"):
+            placed = (("--json", json_at), ("--quiet", quiet_at))
+            before = [flag for flag, at in placed if at == "before"]
+            after = [flag for flag, at in placed if at == "after"]
+            got_code, out = run_cli(*before, *argv, *after)
+            assert got_code == code, placed
+            if quiet_at:
+                assert out == "", placed
+            elif json_at:
+                json.loads(out)
+                documents.add(_masked(out))
+    assert len(documents) == 1
+
+
+@pytest.mark.parametrize("argv", _ONE_PER_COMMAND, ids=lambda argv: argv[0])
+def test_cli_handlers_return_their_output(argv):
+    # a handler prints nothing and never reads --json or --quiet (absent from
+    # this namespace); cli_main prints the lines or the payload it returns
+    args = classify._build_parser().parse_args(classify._normalize_argv(list(argv)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code, payload, lines = args.run(args)
+    assert out.getvalue() == err.getvalue() == ""
+    code_text, text = run_cli(*argv)
+    code_json, document = run_cli(*argv, "--json")
+    assert code_text == code_json == code
+    assert _masked(text) == _masked("\n".join(lines) + "\n")
+    assert _masked(document) == _masked(json.dumps(payload, indent=2) + "\n")
+
+
+def test_cli_every_handler_is_covered():
+    parser = classify._build_parser()
+    covered = {parser.parse_args(classify._normalize_argv(list(argv))).run for argv in _ONE_PER_COMMAND}
+    assert covered == {value for name, value in vars(classify).items() if name.startswith("_run_")}
+
+
+# each value flag given a value that starts with '-', and the exit code the
+# handler gives it
+_DASH_VALUES = {
+    "--nmax": (("verify", "prop2", "--nmax", "-1"), 2),  # nmax must be at least 1
+    "--n": (("pn", "--n", "-1"), 2),  # n must be at least 1
+    "--poly": (("totally-real", "--poly", "-x^2+2"), 0),
+    "--c": (("classify", "--c", "-7/4"), 0),
+    "--period": (("multiplier", "--c", "-5/4", "--period", "-2", "--cycle-poly", "4z^2+4z-1"), 2),
+    "--cycle-poly": (("multiplier", "--c", "-5/4", "--period", "2", "--cycle-poly", "-4z^2-4z+1"), 0),
+}
+
+
+def test_cli_value_flags_take_values_that_start_with_a_dash():
+    # _VALUE_FLAGS is every option of every subcommand that takes a value
+    parser = classify._build_parser()
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    taking_values = {
+        flag
+        for command in commands.choices.values()
+        for action in command._actions
+        if action.nargs != 0
+        for flag in action.option_strings
+    }
+    assert classify._VALUE_FLAGS == taking_values == set(_DASH_VALUES)
+    for flag, (argv, expected) in _DASH_VALUES.items():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run_cli(*argv)
+        assert code == expected, flag
+        assert "usage:" not in err.getvalue() and "expected one argument" not in err.getvalue(), flag
 
 
 def test_cli_classify_reducible_minpoly():
