@@ -194,21 +194,19 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
     as a rational, even when p is reducible.  By the rational root theorem a
     rational root of the primitive p has a denominator that divides L =
     lc(p), so it is k/L for an integer k, and two such numbers are at least
-    1/L apart.  Once the open isolation (lo, hi) is narrowed to width at
-    most 1/L it holds at most one of them, k/L with k = ceil(lo*L), the
-    least one not below lo; the root is rational exactly when k/L lies in
-    the isolation (or the narrowing hit the root) and p(k/L) = 0, both
+    1/L apart.  Once a scratch copy of the open isolation (lo, hi) is
+    narrowed to width at most 1/L it holds at most one of them, k/L with
+    k = ceil(lo*L), the least one not below lo; the root is rational exactly
+    when k/L lies in it (or the narrowing hit the root) and p(k/L) = 0, both
     decided exactly, in integers; a root at an endpoint counts if closed.
 
     Otherwise the stored polynomial is the primitive part with positive
-    leading coefficient, and the isolation is clamped to the Cauchy bound
-    (-B, B), which holds every real root, then halved to width 1, as by
-    refined(1) but uncapped: at most log2(2B) halvings, a number the
-    coefficients of p bound; the same bisection state then goes on to width
-    1/L.
+    leading coefficient, and the isolation is the caller's, opened and
+    clamped to the root bound (-B, B), which holds every real root.
     Irreducibility of p is a caller-supplied precondition (there is no
     factorization engine here); every polynomial the pipelines construct
-    has degree at most 2, where squarefree plus no rational root settles it.
+    has degree at most 3, where squarefree plus no rational root settles it:
+    a reducible p of degree 2 or 3 has a linear factor.
     """
     if p.is_zero:
         raise NotSquarefreeError("the zero polynomial isolates nothing")
@@ -225,16 +223,15 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
     if p.degree == 1:
         return from_rational(Fraction(-p.coeff(0), p.coeff(1)))
     bound = cauchy_bound(p)
-    fine = _Bisection(p, max(interval.lo, -bound), min(interval.hi, bound))
-    fine.halve(fine.halvings_to(1))
-    value = RealAlgebraic(p, fine.interval())  # refined(1), clamped, with no cap
+    isolation = RationalInterval(max(interval.lo, -bound), min(interval.hi, bound), True, True)
     lead = p.leading
+    fine = _Bisection(p, isolation.lo, isolation.hi)
     fine.halve(fine.halvings_to(Fraction(1, lead)))
     lo, hi, d = fine.a * lead, fine.b * lead, fine.d  # lead * (lo, hi), over d
     k = -(-lo // d)
     if (lo == hi or lo < k * d < hi) and p.sign_at(Fraction(k, lead)) == 0:
         return from_rational(Fraction(k, lead))
-    return value
+    return RealAlgebraic(p, isolation)
 
 
 def from_rational(q: Rat) -> RealAlgebraic:
@@ -282,9 +279,9 @@ def affine_transform(alpha: RealAlgebraic, s: Rat, t: Rat) -> RealAlgebraic:
     coefficients), y + u a root of that polynomial shifted by u (a Taylor
     shift), and (y + u)/v a root of its coefficients times v^i; the image
     polynomial is the primitive part.  The open isolation of an irrational
-    alpha maps exactly to an open interval, its ends swapped when s < 0, and
-    is refined to width at most 1.  Nothing is re-validated: an affine map
-    keeps the roots distinct and the interval isolating, and the image of an
+    alpha maps exactly to an open interval, its ends swapped when s < 0: the
+    isolation of the image.  Nothing is re-validated: an affine map keeps
+    the roots distinct and the interval isolating, and the image of an
     irrational is irrational.
     """
     s, t = Fraction(s), Fraction(t)
@@ -302,7 +299,7 @@ def affine_transform(alpha: RealAlgebraic, s: Rat, t: Rat) -> RealAlgebraic:
             cs[j] -= u * cs[j + 1]
     image = IntegerPoly(tuple(c * v**i for i, c in enumerate(cs))).primitive()
     ends = sorted((s * alpha.isolation.lo + t, s * alpha.isolation.hi + t))
-    return RealAlgebraic(image, RationalInterval(*ends, True, True)).refined(1)
+    return RealAlgebraic(image, RationalInterval(*ends, True, True))
 
 
 def sign_at(p: IntegerPoly, alpha: RealAlgebraic) -> int:

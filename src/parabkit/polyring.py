@@ -15,12 +15,12 @@ Real-root counting uses Sturm chains built from sign-corrected primitive
 pseudo-remainders (``_remainder_chain`` of p and p'); the same sequence of
 m and m'p mod m is a Tarski query (``_tarski_query``), the sign of p at the
 one root of a squarefree m in an interval, with no refinement and no gcd.
-Root isolation splits by Sturm counts until each piece holds one root, then
-narrows it by one integer bisection kernel (``_Bisection``): the interval
-is kept as integer numerators over one denominator and each halving takes
-one sign, with no root count; the real-algebraic layer refines through the
-same kernel. The sign of an integer polynomial at a rational a/b is always
-taken as the sign of b^deg * q(a/b), in integers (``IntegerPoly.sign_at``).
+Root isolation splits a power-of-two root bound by Sturm counts until each
+piece holds one root, and narrows nothing.  Where the real-algebraic layer
+narrows, it runs one integer bisection kernel (``_Bisection``): numerators
+over one denominator, one sign per halving, with no root count. The sign
+of an integer polynomial at a rational a/b is always taken as the sign of
+b^deg * q(a/b), in integers (``IntegerPoly.sign_at``).
 Products of long dense factors take one big-integer multiplication
 (Kronecker substitution), and arithmetic results skip the public
 constructor's checks.  Private helpers (``_fp_*``) do the arithmetic of
@@ -785,11 +785,12 @@ def squarefree_part(p: IntegerPoly) -> IntegerPoly:
 
 
 def cauchy_bound(p: IntegerPoly) -> Fraction:
-    """B with every real root of p strictly inside (-B, B)."""
+    """B with every real root of p strictly inside (-B, B): the least power
+    of two at or above Cauchy's bound 1 + max |a_i| / |lc|."""
     if p.is_zero:
         raise ZeroPolynomialError("root bound of the zero polynomial")
     top = max((abs(c) for c in p.coeffs[:-1]), default=0)
-    return 1 + Fraction(top, abs(p.leading))
+    return Fraction(1 << (-(-top // abs(p.leading))).bit_length())
 
 
 def _sturm_count_int(q: IntegerPoly, interval: RationalInterval) -> tuple:
@@ -922,16 +923,16 @@ class _Bisection:
         return RationalInterval(lo, Fraction(self.b, self.d), True, True)
 
 
-_ISOLATION_WIDTH = Fraction(1, 4)
-
-
 def isolate_real_roots(p: IntegerPoly):
     """Disjoint rational intervals, each isolating one real root of p.
 
-    Sturm counts split the Cauchy-bound interval until each piece holds one
-    root; sign bisection (_Bisection) then narrows each piece to width <= 1/4.
-    Rational roots found on the way come back as degenerate point intervals.
+    Sturm counts halve the root bound (-B, B) until each open piece holds
+    one root, and that piece is returned as it is, its ends integers times
+    powers of two; a root at a split point comes back as a point interval.
     Intervals are returned in ascending root order.
+
+    >>> [str(iv) for iv in isolate_real_roots(IntegerPoly((-2, 0, 1)))]
+    ['(-4, 0)', '(0, 4)']
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -939,26 +940,22 @@ def isolate_real_roots(p: IntegerPoly):
     if q.degree <= 0:
         return ()
     bound = cauchy_bound(q)
-    found = []
+    intervals = []
     stack = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
-        k = _sturm_count_int(q, RationalInterval(lo, hi, True, True))[0]
+        cell = RationalInterval(lo, hi, True, True)
+        k = _sturm_count_int(q, cell)[0]
         if k == 0:
             continue
         if k == 1:
-            found.append((lo, hi))
+            intervals.append(cell)
             continue
         mid = (lo + hi) / 2
         if q.sign_at(mid) == 0:
-            found.append((mid, mid))
+            intervals.append(RationalInterval(mid, mid))
         stack.append((lo, mid))
         stack.append((mid, hi))
-    intervals = []
-    for lo, hi in found:
-        narrowing = _Bisection(q, lo, hi)
-        narrowing.halve(narrowing.halvings_to(_ISOLATION_WIDTH))
-        intervals.append(narrowing.interval())
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     return tuple(intervals)
 

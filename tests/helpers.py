@@ -662,43 +662,29 @@ def fraction_refined(m: IntegerPoly, iv: RationalInterval, max_width: Fraction) 
 def fraction_isolate_real_roots(p) -> tuple:
     """Reference isolation: Sturm-count bisection in Fractions throughout.
 
-    The isolate_real_roots that narrowed each one-root interval by counting
-    roots of its left half, kept as an oracle for the sign-bisection kernel.
+    The one-root cells of the public sturm_count, kept as an oracle for the
+    integer counts of isolate_real_roots: open cells, and a point where a
+    split lands on a root.
     """
     q = squarefree_part(p)
     if q.degree <= 0:
         return ()
-
-    def count_open(lo, hi):
-        return sturm_count(q, RationalInterval(lo, hi, True, True))
-
     bound = cauchy_bound(q)
-    found = []
+    intervals = []
     stack = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
-        k = count_open(lo, hi)
+        k = sturm_count(q, RationalInterval(lo, hi, True, True))
         if k == 0:
             continue
         if k == 1:
-            found.append((lo, hi))
+            intervals.append(RationalInterval(lo, hi, True, True))
             continue
         mid = (lo + hi) / 2
         if q.sign_at(mid) == 0:
-            found.append((mid, mid))
+            intervals.append(RationalInterval(mid, mid))
         stack.append((lo, mid))
         stack.append((mid, hi))
-    intervals = []
-    for lo, hi in found:
-        while lo != hi and hi - lo > Fraction(1, 4):
-            mid = (lo + hi) / 2
-            if q.sign_at(mid) == 0:
-                lo = hi = mid
-            elif count_open(lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        intervals.append(RationalInterval(lo, hi) if lo == hi else RationalInterval(lo, hi, True, True))
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     return tuple(intervals)
 

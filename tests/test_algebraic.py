@@ -29,6 +29,7 @@ from parabkit.polyring import (
     IntegerPoly,
     ParabkitError,
     RationalInterval,
+    cauchy_bound,
     isolate_real_roots,
     squarefree_part,
     sturm_count,
@@ -133,14 +134,15 @@ def test_refined_preserves_identity():
 
 def test_make_real_algebraic_takes_each_endpoint_sign_once(monkeypatch):
     # the root count's two endpoint signs also decide the closed-endpoint
-    # roots; then one sign starts the bisection state (at the Cauchy bound
-    # -12/7) and one tests the rational candidate
+    # roots; then one sign starts the rational-root test's bisection state
+    # (at lo clamped to the root bound, here -2 itself), and none tests the
+    # candidate -1, an end of the narrowed cell (-9/8, -1)
     taken = []
     sign_at = IntegerPoly.sign_at
     monkeypatch.setattr(IntegerPoly, "sign_at", lambda p, x: taken.append(x) or sign_at(p, x))
     alpha = make_real_algebraic(IntegerPoly((-3, 5, 7)), RationalInterval(F(-2), F(-1)))
     assert not alpha.is_rational
-    assert taken[:3] == [F(-2), F(-1), F(-12, 7)] and len(taken) == 4
+    assert taken == [F(-2), F(-1), F(-2)]
 
 
 def test_excluded_endpoint_root_keeps_the_isolated_root():
@@ -299,17 +301,27 @@ def test_make_real_algebraic_matches_the_recorded_table():
             continue
         value = make_real_algebraic(IntegerPoly(p), interval)
         minpoly, *isolation = expected
+        recorded = RealAlgebraic(value.minpoly, RationalInterval(F(isolation[0]), F(isolation[1]), *isolation[2:]))
         assert value.minpoly.coeffs == minpoly, (p, interval)
-        assert value.isolation == RationalInterval(F(isolation[0]), F(isolation[1]), *isolation[2:]), (p, interval)
-    # an isolation more than 4096 halvings wide: the narrowing to width 1
-    # has no cap, since the Cauchy bound fixes its length
+        if recorded.isolation.is_point:
+            assert value.isolation == recorded.isolation, (p, interval)
+            continue
+        # the recorded isolation was narrowed to width 1; the stored one is
+        # the caller's, opened and clamped to the root bound, around it
+        bound = cauchy_bound(value.minpoly)
+        clamped = RationalInterval(max(interval.lo, -bound), min(interval.hi, bound), True, True)
+        assert value.isolation == clamped, (p, interval)
+        assert clamped.lo <= recorded.isolation.lo and recorded.isolation.hi <= clamped.hi, (p, interval)
+        assert value == recorded, (p, interval)
+    # an isolation more than 4096 halvings wide: the rational-root test's
+    # narrowing to width 1/lc has no cap, since the root bound fixes its length
     wide = make_real_algebraic(IntegerPoly((-(10**1300), 0, 1)), RationalInterval(0, 10**1300))
     assert wide == from_rational(10**650) and wide.isolation.is_point
 
 
 def test_a_fresh_quadratic_builds_one_chain_and_one_bisection(monkeypatch):
     # counts, not times: one PRS (the cached Sturm chain), no second PRS for
-    # the squarefree model, and one bisection state for both widths
+    # the squarefree model, and one bisection state, the rational-root test's
     calls = {"_Bisection": 0}
 
     class CountedBisection(polyring._Bisection):
@@ -388,12 +400,13 @@ def test_refined_matches_fraction_bisection(m, width):
 def test_sign_at_matches_fraction_evaluation_near_zero(m, g, c, j):
     # p = g*m + c*x^j is a small perturbation of a multiple of m: it has a
     # root very close to each root alpha of m, yet p(alpha) = c*alpha^j is
-    # not zero (0 is always isolated as a point).
+    # not zero (a root 0 of m is skipped: a split point, or the one root in
+    # the one cell (-B, B)).
     multiple = m * IntegerPoly(tuple(g))
     assume(not multiple.is_zero)
     p = multiple + IntegerPoly((0,) * j + (c,))
     for iv in isolate_real_roots(m):
-        if iv.is_point:
+        if iv.is_point or (m.coeff(0) == 0 and iv.lo < 0 < iv.hi):
             continue
         alpha = RealAlgebraic(m, iv)
         assert sign_at(multiple, alpha) == 0

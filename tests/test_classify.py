@@ -167,6 +167,17 @@ def test_prop2_enclosure_matches_the_fraction_bisection():
     assert golden_high.refined(width).isolation == expected
 
 
+def test_prop2_refuses_an_irrational_with_no_eliminated_conjugate(monkeypatch):
+    # negative control for the Galois step: -sqrt3 is totally real and lies
+    # in [-2, -5/4), but no conjugate of it has an attracting cycle, so no
+    # step of the chain places it
+    candidates = classify._prop2_candidates
+    minus_sqrt3 = make_real_algebraic(IntegerPoly((-3, 0, 1)), RationalInterval(F(-2), F(-1)))
+    monkeypatch.setattr(classify, "_prop2_candidates", lambda: candidates() + [minus_sqrt3])
+    with pytest.raises(PipelineMismatchError, match=r"^unplaced candidate x\^2-3@\[-2,-1\]$"):
+        prop2_pipeline()
+
+
 def test_prop2_nmax_too_small_is_a_mismatch():
     with pytest.raises(PipelineMismatchError):
         prop2_pipeline(1)
@@ -187,7 +198,8 @@ _REPORTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reports")
 )
 def test_report_bytes_are_pinned(name, run):
     # the stored reports were written by the literal-dispatch pipelines that
-    # the certificate chains replaced; only runtime_ms may differ
+    # the certificate chains replaced, with their isolations re-pinned to the
+    # unnarrowed Sturm cells; only runtime_ms may differ
     report = run()
     report = ClassificationReport(
         report.proposition,
@@ -278,6 +290,21 @@ def test_report_json_roundtrip(prop2_report):
     text = report_to_json(r1)
     assert json.loads(text)["parameters"] == ["-2", "-1", "0"]
     assert report_from_json(text) == r1
+
+
+def test_a_report_with_narrowed_isolations_still_loads(prop2_report):
+    # reports written before isolations lost their width target name the
+    # same candidates with narrower isolations
+    narrowed = {
+        "16x^2+52x+41@[-2,-3/2]": "16x^2+52x+41@[-31/16,-15/8]",
+        "16x^2+52x+41@[-3/2,-1]": "16x^2+52x+41@[-11/8,-21/16]",
+    }
+    payload = json.loads(report_to_json(prop2_report))
+    assert narrowed.keys() <= {entry["candidate"] for entry in payload["certificates"]}
+    for entry in payload["certificates"]:
+        entry["candidate"] = narrowed.get(entry["candidate"], entry["candidate"])
+    loaded = report_from_json(json.dumps(payload))
+    assert [c.candidate for c in loaded.certificates] == [c.candidate for c in prop2_report.certificates]
 
 
 def test_report_json_deterministic(prop2_report):
@@ -558,7 +585,8 @@ def test_cli_isolate():
     for poly, expected in (
         ("3x^2-x-2", ["-2/3", "1"]),
         ("x-12345678901234567890", ["12345678901234567890"]),
-        ("(x-3)(x^2-2)", ["(-49/32, -21/16)", "(21/16, 49/32)", "3"]),
+        ("(x-3)(x^2-2)", ["(-8, 0)", "(0, 2)", "3"]),
+        ("x^7-7x^5+14x^3-7x", ["(-2, -7/4)", "(-7/4, -3/2)", "(-1, 0)", "0", "(0, 1)", "(3/2, 7/4)", "(7/4, 2)"]),
     ):
         code, out = run_cli("isolate", "--poly", poly)
         assert code == 0 and out.splitlines() == expected, poly
@@ -625,8 +653,8 @@ def test_cli_usage_errors():
         (("multiplier", "--c", "\u0663", "--period", "1", "--cycle-poly", "2x-1"), "(at position 0)"),
         (("isolate", "--poly", f"x-{long_literal}"), f"'{long_literal}' has too many digits (at position 2)"),
         # a printable coefficient whose irrational root's isolating interval
-        # is not printable
-        (("isolate", "--poly", "x^2-1" + "0" * 4299), f"'an isolating interval endpoint of x^2-1{'0' * 4299}'"),
+        # is not printable: the root bound 2^14285 has 4301 digits
+        (("isolate", "--poly", "x^2-" + "9" * 4300), f"'an isolating interval endpoint of x^2-{'9' * 4300}'"),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -657,21 +685,25 @@ def test_cli_usage_errors():
         assert "Exceeds the limit" not in err.getvalue(), argv[:3]
     # a rational root prints exactly, here 10^4300 - 1, at the digit limit
     assert run_cli("isolate", "--poly", "9" * 4300 + "-x") == (0, "9" * 4300 + "\n")
+    # and so does the root bound 2^14281 of x^2 - 10^4299, at 4300 digits
+    bound = str(2**14281)
+    assert run_cli("isolate", "--poly", "x^2-1" + "0" * 4299) == (0, f"(-{bound}, 0)\n(0, {bound})\n")
 
 
 def test_cli_classify_clamps_wide_isolations():
-    # an isolation much wider than the Cauchy bound (here 3) is clamped to
-    # it before refinement: exactly one root, so the same answer and bytes
-    for wide, tight in (("x^2-2@[1,1e1300]", "x^2-2@[1,2]"), ("x^2-2@[-1e1300,-1]", "x^2-2@[-2,-1]")):
+    # an isolation much wider than the root bound (here 4) is clamped to it:
+    # exactly one root, so the same answer and bytes
+    for wide, tight in (("x^2-2@[1,1e1300]", "x^2-2@[1,4]"), ("x^2-2@[-1e1300,-1]", "x^2-2@[-4,-1]")):
         for flags in ((), ("--json",)):
             code, out = run_cli("classify", "--c", wide, *flags)
             assert code == 0 and (code, out) == run_cli("classify", "--c", tight, *flags), wide
-    assert run_cli("classify", "--c", "x^2-2@[1,10]")[1].startswith("x^2-2@[1,2]: ")
+    assert run_cli("classify", "--c", "x^2-2@[1,10]")[1].startswith("x^2-2@[1,4]: ")
 
 
 def test_cli_classify_narrows_an_isolation_past_the_refinement_cap():
-    # sqrt(2^10001) = 2^5000 sqrt2 on [0, 2^5001]: more than 4096 halvings to
-    # width 1, which the Cauchy bound fixes, so no cap applies
+    # sqrt(2^10001) = 2^5000 sqrt2 on [0, 2^5001]: the rational-root test
+    # takes more than 4096 halvings to width 1/lc = 1, a number the root
+    # bound fixes, so no cap applies
     code, out = run_cli("classify", "--c", f"x^2-{2 * 4**5000}@[0,{2**5001}]")
     assert code == 0 and out.strip().endswith(": EscapesToInfinity")
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import _int_gcd
+from parabkit.algebraic import make_real_algebraic
 from parabkit.cyclotomic import trace_polynomial
 from parabkit.polyring import (
     ConstantPolynomialError,
@@ -282,6 +283,11 @@ def test_cauchy_bound_contains_roots():
     p = parse_poly("x^2-10x+1")
     bound = cauchy_bound(p)
     assert sturm_count(p, RationalInterval(-bound, bound)) == 2
+    # the least power of two at or above Cauchy's 1 + max|a_i|/|lc|
+    for coeffs, bound in (((5,), 1), ((-2, 0, 1), 4), ((-1, 1, 1), 2), ((-3, 5, 7), 2), ((1, -14, 0, 1), 16)):
+        assert cauchy_bound(IntegerPoly(coeffs)) == bound, coeffs
+    huge = IntegerPoly((-(10**4300 - 1), 0, 1))
+    assert cauchy_bound(huge) == 2**14285 and 10**4300 < 2**14285 < 10**4301  # 4301 digits
 
 
 def test_sturm_count_endpoints():
@@ -380,12 +386,28 @@ def test_sturm_vs_numeric_and_constructed():
 def test_isolate_real_roots_invariants():
     p = parse_poly("x^4-5x^2+2")
     intervals = isolate_real_roots(p)
+    bound = cauchy_bound(p)
     assert len(intervals) == 4
     for prev, cur in zip(intervals, intervals[1:]):
         assert prev.hi <= cur.lo  # disjoint and ascending
     for iv in intervals:
         assert sturm_count(p, RationalInterval(iv.lo, iv.hi)) == 1
-        assert iv.is_point or iv.width <= F(1, 4)
+        for end in (iv.lo, iv.hi):  # an integer times a power of two, in [-B, B]
+            assert end.denominator & (end.denominator - 1) == 0 and -bound <= end <= bound
+
+
+def test_isolate_real_roots_of_a_huge_root_takes_three_counts(monkeypatch):
+    # counts, not times: x^2 - 2*10^2000 splits (-B, B) once, at 0, and no
+    # cell is narrowed, so no bisection state is built
+    counts = []
+    count = polyring._sturm_count_int
+    monkeypatch.setattr(polyring, "_sturm_count_int", lambda q, iv: counts.append(iv) or count(q, iv))
+    monkeypatch.setattr(polyring, "_Bisection", None)
+    p = IntegerPoly((-2 * 10**2000, 0, 1))
+    intervals = isolate_real_roots(p)
+    bound = cauchy_bound(p)
+    assert intervals == (RationalInterval(-bound, 0, True, True), RationalInterval(0, bound, True, True))
+    assert len(counts) == 3
 
 
 def test_isolate_real_roots_matches_fraction_oracle_on_trace_polynomials():
@@ -405,8 +427,15 @@ def test_isolate_real_roots_matches_fraction_oracle(p, q):
 
 
 def test_isolate_rational_roots_become_points():
-    intervals = isolate_real_roots(parse_poly("x^2-3x+2"))
-    assert [(iv.lo, iv.is_point) for iv in intervals] == [(F(1), True), (F(2), True)]
+    # a root at a split point is a point; the one inside the cell (0, 2)
+    # becomes one through make_real_algebraic
+    p = parse_poly("x^2-3x+2")
+    intervals = isolate_real_roots(p)
+    assert [(iv.lo, iv.is_point) for iv in intervals] == [(F(0), False), (F(2), True)]
+    assert [make_real_algebraic(p, iv).isolation for iv in intervals] == [
+        RationalInterval(F(1), F(1)),
+        RationalInterval(F(2), F(2)),
+    ]
     assert isolate_real_roots(parse_poly("x^2+1")) == ()
 
 
