@@ -225,7 +225,8 @@ def make_real_algebraic(p: IntegerPoly, interval: RationalInterval) -> RealAlgeb
     bound = cauchy_bound(p)
     isolation = RationalInterval(max(interval.lo, -bound), min(interval.hi, bound), True, True)
     lead = p.leading
-    fine = _Bisection(p, isolation.lo, isolation.hi)
+    # the count's sign at lo starts the bisection unless the clamp moved lo
+    fine = _Bisection(p, isolation.lo, isolation.hi, at_lo if isolation.lo == interval.lo else None)
     fine.halve(fine.halvings_to(Fraction(1, lead)))
     lo, hi, d = fine.a * lead, fine.b * lead, fine.d  # lead * (lo, hi), over d
     k = -(-lo // d)

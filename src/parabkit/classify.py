@@ -15,22 +15,24 @@ list; every candidate is then confirmed or eliminated by an exact certificate.
 The resulting ``ClassificationReport`` serializes to a versioned JSON schema
 and back.
 
-The command line (``cli_main``) reads its subcommands and their arguments
-from one table, ``_COMMANDS``, which also gives the flags whose values may
-start with '-'.  Each ``_run_*`` handler prints nothing: it returns (exit
-code, payload, lines), and ``cli_main`` prints once, nothing under
-``--quiet``, the payload as JSON under ``--json`` and the lines otherwise.
+The command line (``cli_main``) is one table, ``_COMMANDS``, and one walk
+over it: ``_parse_argv`` reads the tokens once, left to right, looking each
+word and flag up in the table, and builds the help and usage text from the
+same rows.  A value flag takes the next token whatever it looks like, so
+``--c -7/4`` needs no special case.  Each ``_run_*`` handler prints nothing:
+it returns (exit code, payload, lines), and ``cli_main`` prints once,
+nothing under ``--quiet``, the payload as JSON under ``--json`` and the
+lines otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Union
 
 from .algebraic import (
@@ -522,8 +524,10 @@ def _run_isolate(args) -> tuple:
     return 0, payload, lines or ["no real roots"]
 
 
-# The subcommands: (name, help, handler, arguments), each argument a name or
-# flag with its add_argument keywords.
+# The subcommands: (name, help, handler, arguments).  Each argument is a
+# positional name or a --flag with its options: "choices", "type" (int is
+# the only one), "required", "default", "help", and "action": "store_true"
+# for a flag that takes no value.
 _COMMANDS = (
     ("verify", "run a classification pipeline", _run_verify, (
         ("proposition", {"choices": ("prop1", "prop2")}),
@@ -552,69 +556,176 @@ _COMMANDS = (
     )),
 )
 
-
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    # Built on the first cli_main call, not at import, and reused: parse_args
-    # returns a fresh namespace and leaves the parser unchanged.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS, help="emit JSON output"
-    )
-    common.add_argument(
-        "--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress output"
-    )
-    parser = argparse.ArgumentParser(
-        prog="parabkit",
-        parents=[common],
-        description="Exact classification toolkit for the quadratic family z^2 + c.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, run, arguments in _COMMANDS:
-        command = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, options in arguments:
-            command.add_argument(flag, **options)
-        command.set_defaults(run=run)
-    return parser
-
-
-# Flags whose values may start with '-' (negative rationals, polynomials);
-# merging them into --flag=value form keeps argparse from eating the value.
-_VALUE_FLAGS = frozenset(
-    flag
-    for _, _, _, arguments in _COMMANDS
-    for flag, options in arguments
-    if flag.startswith("--") and options.get("action") != "store_true"
+# The flags of every command line, before or after the command.
+_COMMON_FLAGS = (
+    (("-h", "--help"), {"action": "help", "help": "show this help and exit"}),
+    (("--json",), {"action": "store_true", "help": "emit JSON output"}),
+    (("--quiet",), {"action": "store_true", "help": "suppress output"}),
 )
 
 
-def _normalize_argv(argv) -> list:
-    out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
+def _flags(arguments) -> dict:
+    flags = {name: options for names, options in _COMMON_FLAGS for name in names}
+    flags.update((name, options) for name, options in arguments if name.startswith("-"))
+    return flags
+
+
+# the flags a command line may name before its command, and for each
+# command its row and the flags it may name once the command is read
+_TOP_FLAGS = _flags(())
+_BY_NAME = {row[0]: (row, _flags(row[3])) for row in _COMMANDS}
+
+
+class _CommandLineExit(Exception):
+    """The command line ends the run before any handler: with the help text
+    (code 0, on stdout) or with a refusal (code 2, on stderr)."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+
+
+def _spelling(name: str, options: dict) -> str:
+    # an argument as usage and help write it: {prop1,prop2}, --n N, --check-parity
+    if options.get("action"):
+        return name
+    choices = options.get("choices")
+    value = "{" + ",".join(choices) + "}" if choices else name.lstrip("-").replace("-", "_").upper()
+    return f"{name} {value}" if name.startswith("-") else value
+
+
+def _usage(row) -> str:
+    common = " ".join(f"[{names[0]}]" for names, _ in _COMMON_FLAGS)
+    if row is None:
+        return f"usage: parabkit {common} {{{','.join(_BY_NAME)}}} ..."
+    spelled = (
+        _spelling(arg, options) if options.get("required") or not arg.startswith("-")
+        else f"[{_spelling(arg, options)}]"
+        for arg, options in row[3]
+    )
+    return " ".join((f"usage: parabkit {row[0]}", common, *spelled))
+
+
+def _help(row) -> str:
+    if row is None:
+        about = "Exact classification toolkit for the quadratic family z^2 + c."
+        sections = [("commands", [(name, text) for name, text, _, _ in _COMMANDS])]
+    else:
+        _, about, _, arguments = row
+        sections = [("arguments", [(_spelling(arg, opts), opts.get("help", "")) for arg, opts in arguments])]
+    sections.append(("options", [(", ".join(names), options["help"]) for names, options in _COMMON_FLAGS]))
+    width = 4 + max(len(left) for _, entries in sections for left, _ in entries)
+    lines = [_usage(row), "", about]
+    for title, entries in sections:
+        lines += ["", f"{title}:"]
+        lines += (f"  {left:<{width}}{text}".rstrip() for left, text in entries)
+    return "\n".join(lines)
+
+
+def _refusal(row, message: str) -> _CommandLineExit:
+    prog = "parabkit" if row is None else f"parabkit {row[0]}"
+    return _CommandLineExit(2, f"{_usage(row)}\n{prog}: error: {message}")
+
+
+def _resolve_prefix(name: str, flags: dict, row) -> str:
+    # the one long flag that name begins
+    matches = [flag for flag in flags if flag.startswith(name)] if name.startswith("--") else []
+    if len(matches) > 1:
+        raise _refusal(row, f"ambiguous option: {name} could match {', '.join(matches)}")
+    if not matches:
+        raise _refusal(row, f"unrecognized arguments: {name}")
+    return matches[0]
+
+
+# what an int argument may read: a sign and ASCII digits, as in the
+# rationals above; int() also takes other scripts' digits and underscores
+_NOT_INT = re.compile(r"[^0-9+\-\s]", re.ASCII)
+
+
+def _value(arg: str, text: str, options: dict, row):
+    # one argument's value, converted and checked as its options say
+    if options.get("type") is int:
+        bad = _NOT_INT.search(text)
+        if bad:
+            raise _refusal(row, f"argument {arg}: unexpected {bad.group()!r} (at position {bad.start()})")
+        try:
+            text = int(text)
+        except ValueError:
+            raise _refusal(row, f"argument {arg}: invalid int value: {text!r}") from None
+    choices = options.get("choices")
+    if choices is not None and text not in choices:
+        raise _refusal(row, f"argument {arg}: invalid choice: {text!r} (choose from {', '.join(choices)})")
+    return text
+
+
+def _parse_argv(argv) -> tuple:
+    """Read a command line against _COMMANDS: (args, as_json, quiet).
+
+    ``args`` holds the command's handler as ``run`` and each of its
+    arguments under its name, dashes made underscores.  The tokens are read
+    once, left to right.  -h/--help, --json and --quiet may stand anywhere;
+    the first other word names the command; a value flag takes the text
+    after "=", or else the next token whatever it looks like, so "--c -7/4"
+    is a value; a unique prefix of a long flag names that flag; a repeated
+    flag keeps its last value.  Help and refusals raise _CommandLineExit.
+    """
+    row, flags = None, _TOP_FLAGS
+    given, words = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if row is not None:
+                words.append(token)
+            elif token in _BY_NAME:
+                row, flags = _BY_NAME[token]
+            else:
+                choices = ", ".join(_BY_NAME)
+                raise _refusal(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+            continue
+        name, eq, text = token.partition("=")
+        flag = name if name in flags else _resolve_prefix(name, flags, row)
+        options = flags[flag]
+        action = options.get("action")
+        if action and eq:
+            raise _refusal(row, f"argument {flag}: ignored explicit argument {text!r}")
+        if action == "help":
+            raise _CommandLineExit(0, _help(row))
+        if action:
+            given[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise _refusal(row, f"argument {flag}: expected one argument")
+        given[flag] = _value(flag, text, options, row)
+    if row is None:
+        raise _refusal(None, "the following arguments are required: command")
+    args, missing = {"run": row[2]}, []
+    for arg, options in row[3]:
+        if not arg.startswith("-"):
+            if words:
+                args[arg] = _value(arg, words.pop(0), options, row)
+            else:
+                missing.append(arg)
+        elif arg in given or not options.get("required"):
+            default = options.get("default", False if options.get("action") else None)
+            args[arg[2:].replace("-", "_")] = given.get(arg, default)
         else:
-            out.append(token)
-            i += 1
-    return out
+            missing.append(arg)
+    if missing:
+        raise _refusal(row, f"the following arguments are required: {', '.join(missing)}")
+    if words:
+        raise _refusal(row, f"unrecognized arguments: {' '.join(words)}")
+    return SimpleNamespace(**args), "--json" in given, "--quiet" in given
 
 
 def cli_main(argv=None) -> int:
-    """Entry point; returns 0 (verified), 1 (verification failed), or 2 (usage)."""
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    """Entry point; returns 0 (verified, or help), 1 (verification failed), or 2 (usage)."""
     try:
-        # --json and --quiet may come before or after the subcommand: their
-        # defaults are suppressed, so the subcommand's parse keeps the first
-        flags = argparse.Namespace(json=False, quiet=False)
-        args = parser.parse_args(_normalize_argv(list(argv)), flags)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        args, as_json, quiet = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except _CommandLineExit as exc:
+        print(exc, file=sys.stderr if exc.code else sys.stdout)
+        return exc.code
     try:
         code, payload, lines = args.run(args)
     except (
@@ -626,8 +737,8 @@ def cli_main(argv=None) -> int:
     except ParabkitError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    if not args.quiet:
-        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    if not quiet:
+        print(json.dumps(payload, indent=2) if as_json else "\n".join(lines))
     return code
 
 

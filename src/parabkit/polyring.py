@@ -36,7 +36,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -876,7 +876,8 @@ class _Bisection:
     the interval stays that point.
     When a/d is not a root, left = sign q(a/d).  When it is one (an excluded
     endpoint, such as -1 for x^2-1 on (-1, 2]) it is simple and (a/d, alpha)
-    holds no root, so left = sign q'(a/d).  No root is ever counted.
+    holds no root, so left = sign q'(a/d).  No root is ever counted.  A
+    caller that already took sign q(lo) passes it as ``at_lo``.
 
     A halving doubles a, b and d and splits at the old a + b over the new d,
     so b - a never changes and each endpoint equals the Fraction midpoint
@@ -886,10 +887,12 @@ class _Bisection:
 
     __slots__ = ("cs", "left", "a", "b", "d")
 
-    def __init__(self, q: IntegerPoly, lo: Fraction, hi: Fraction):
+    def __init__(self, q: IntegerPoly, lo: Fraction, hi: Fraction, at_lo: Optional[int] = None):
         d = math.lcm(lo.denominator, hi.denominator)
         self.cs = q.coeffs
-        self.left = q.sign_at(lo) or q.derivative().sign_at(lo)
+        if at_lo is None:
+            at_lo = q.sign_at(lo)
+        self.left = at_lo or q.derivative().sign_at(lo)
         self.a = lo.numerator * (d // lo.denominator)
         self.b = hi.numerator * (d // hi.denominator)
         self.d = d

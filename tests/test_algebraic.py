@@ -134,15 +134,20 @@ def test_refined_preserves_identity():
 
 def test_make_real_algebraic_takes_each_endpoint_sign_once(monkeypatch):
     # the root count's two endpoint signs also decide the closed-endpoint
-    # roots; then one sign starts the rational-root test's bisection state
-    # (at lo clamped to the root bound, here -2 itself), and none tests the
-    # candidate -1, an end of the narrowed cell (-9/8, -1)
+    # roots; the sign at lo, which the clamp to the root bound leaves in
+    # place here, also starts the rational-root test's bisection state, and
+    # no sign tests the candidate -1, an end of the narrowed cell (-9/8, -1)
     taken = []
     sign_at = IntegerPoly.sign_at
     monkeypatch.setattr(IntegerPoly, "sign_at", lambda p, x: taken.append(x) or sign_at(p, x))
     alpha = make_real_algebraic(IntegerPoly((-3, 5, 7)), RationalInterval(F(-2), F(-1)))
     assert not alpha.is_rational
-    assert taken == [F(-2), F(-1), F(-2)]
+    assert taken == [F(-2), F(-1)]
+    # a lo the clamp moves, here -10 to the root bound -4 of x^2-2, needs its
+    # own sign at the clamped end
+    taken.clear()
+    assert not make_real_algebraic(IntegerPoly((-2, 0, 1)), RationalInterval(F(-10), F(-1))).is_rational
+    assert taken == [F(-10), F(-1), F(-4)]
 
 
 def test_excluded_endpoint_root_keeps_the_isolated_root():

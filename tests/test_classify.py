@@ -1,6 +1,5 @@
 """Classification pipelines, JSON reports, and the command line interface."""
 
-import argparse
 import collections
 import contextlib
 import io
@@ -411,8 +410,8 @@ def test_cli_classify_algebraic_outside_core_escapes():
 
 
 def test_cli_calls_share_no_state():
-    # One parser serves every call in the process; each call still gets its
-    # own output format and exit code.
+    # Every call in the process reads the same command tables; each call
+    # still gets its own output format and exit code.
     for _ in range(2):
         code, out = run_cli("classify", "--c", "1/4", "--json")
         assert code == 0 and json.loads(out)["tag"] == "ParabolicLandmark"
@@ -445,7 +444,8 @@ def test_import_does_not_load_mpmath():
 
 def test_import_loads_no_dataclasses_machinery():
     # the record classes are built without dataclasses, which would pull in
-    # inspect, ast and dis; -S keeps site hooks from loading them first
+    # inspect, ast and dis, and the command line without argparse; -S keeps
+    # site hooks from loading them first
     import parabkit
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
@@ -456,7 +456,7 @@ def test_import_loads_no_dataclasses_machinery():
     assert result.returncode == 0, result.stderr
     added = set(result.stdout.split())
     assert "parabkit.classify" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "argparse"}
 
 
 def test_fresh_prop2_builds_no_pn():
@@ -651,6 +651,7 @@ def test_cli_usage_errors():
         (("classify", "--c", "x-2@[\u0661,\u0663]"), "error: unexpected '\u0661' (at position 5)"),
         (("classify", "--c", "x-2@[1, 3_0]"), "error: unexpected '_' (at position 9)"),
         (("multiplier", "--c", "\u0663", "--period", "1", "--cycle-poly", "2x-1"), "(at position 0)"),
+        (("pn", "--n", "\u0663"), "error: argument --n: unexpected '\u0663' (at position 0)"),
         (("isolate", "--poly", f"x-{long_literal}"), f"'{long_literal}' has too many digits (at position 2)"),
         # a printable coefficient whose irrational root's isolating interval
         # is not printable: the root bound 2^14285 has 4301 digits
@@ -760,7 +761,7 @@ def test_cli_output_flags_before_or_after_the_subcommand(argv):
 def test_cli_handlers_return_their_output(argv):
     # a handler prints nothing and never reads --json or --quiet (absent from
     # this namespace); cli_main prints the lines or the payload it returns
-    args = classify._build_parser().parse_args(classify._normalize_argv(list(argv)))
+    args, _, _ = classify._parse_argv(list(argv))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code, payload, lines = args.run(args)
@@ -773,8 +774,7 @@ def test_cli_handlers_return_their_output(argv):
 
 
 def test_cli_every_handler_is_covered():
-    parser = classify._build_parser()
-    covered = {parser.parse_args(classify._normalize_argv(list(argv))).run for argv in _ONE_PER_COMMAND}
+    covered = {classify._parse_argv(list(argv))[0].run for argv in _ONE_PER_COMMAND}
     assert covered == {value for name, value in vars(classify).items() if name.startswith("_run_")}
 
 
@@ -791,23 +791,155 @@ _DASH_VALUES = {
 
 
 def test_cli_value_flags_take_values_that_start_with_a_dash():
-    # _VALUE_FLAGS is every option of every subcommand that takes a value
-    parser = classify._build_parser()
-    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
-    taking_values = {
+    # the flags _COMMANDS declares as taking a value are the flags the parser
+    # asks a value of, and each is given one that starts with '-' below
+    declared = {
         flag
-        for command in commands.choices.values()
-        for action in command._actions
-        if action.nargs != 0
-        for flag in action.option_strings
+        for _, _, _, arguments in classify._COMMANDS
+        for flag, options in arguments
+        if flag.startswith("--") and options.get("action") != "store_true"
     }
-    assert classify._VALUE_FLAGS == taking_values == set(_DASH_VALUES)
+    asking = set()
+    for name, _, _, arguments in classify._COMMANDS:
+        for flag, _ in arguments:
+            try:
+                classify._parse_argv([name, flag])
+            except classify._CommandLineExit as refused:
+                if f"argument {flag}: expected one argument" in str(refused):
+                    asking.add(flag)
+    assert declared == asking == set(_DASH_VALUES)
     for flag, (argv, expected) in _DASH_VALUES.items():
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code, _ = run_cli(*argv)
         assert code == expected, flag
         assert "usage:" not in err.getvalue() and "expected one argument" not in err.getvalue(), flag
+
+
+# --- the command-line grammar ---
+
+
+def run_cli_streams(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _with_equals(argv):
+    # argv with each "--flag value" pair of a value flag written "--flag=value"
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        joined.append(f"{token}={next(tokens)}" if token in _DASH_VALUES else token)
+    return joined
+
+
+@pytest.mark.parametrize(
+    "argv", _ONE_PER_COMMAND + (("verify", "prop2", "--nmax", "3"),), ids=lambda argv: "-".join(argv[:2])
+)
+def test_cli_flag_space_value_and_flag_equals_value_agree(argv):
+    joined = _with_equals(argv)
+    assert (joined == list(argv)) == (not set(argv) & set(_DASH_VALUES))
+    assert classify._parse_argv(joined) == classify._parse_argv(list(argv))
+
+
+def test_cli_a_unique_prefix_names_its_flag():
+    parse = classify._parse_argv
+    assert parse(["pn", "--n", "2", "--check"]) == parse(["pn", "--n", "2", "--check-parity"])
+    assert parse(["--js", "classify", "--c", "1/4", "--q"]) == parse(["--json", "classify", "--c", "1/4", "--quiet"])
+    assert parse(["verify", "--nm=3", "prop2"]) == parse(["verify", "prop2", "--nmax", "3"])
+    multiplier = ["multiplier", "--c", "-5/4", "--per", "2", "--cy", "-4z^2-4z+1"]
+    args, as_json, quiet = parse(multiplier)
+    assert (args.c, args.period, args.cycle_poly, as_json, quiet) == ("-5/4", 2, "-4z^2-4z+1", False, False)
+    assert run_cli(*multiplier) == run_cli("multiplier", "--c", "-5/4", "--period", "2", "--cycle-poly", "-4z^2-4z+1")
+    # a repeated flag keeps its last value
+    assert parse(["classify", "--c", "1", "--c", "1/4"])[0].c == "1/4"
+    assert parse(["verify", "prop2", "--nmax", "2", "--nm", "4"])[0].nmax == 4
+
+
+def test_cli_help_names_every_command_and_flag():
+    common = ("-h", "--help", "--json", "--quiet")
+    for flag in ("-h", "--help"):
+        for before in ((), ("--json",)):
+            code, out, err = run_cli_streams(*before, flag)
+            assert code == 0 and err == "" and out.startswith("usage: parabkit ")
+            for word in common:
+                assert word in out
+            for name, help_text, _, _ in classify._COMMANDS:
+                assert name in out and help_text in out
+        for name, help_text, _, arguments in classify._COMMANDS:
+            code, out, err = run_cli_streams(name, flag)
+            assert code == 0 and err == "" and out.startswith(f"usage: parabkit {name} "), name
+            assert help_text in out, name
+            for word in common:
+                assert word in out, name
+            for arg, options in arguments:
+                assert arg in out or ",".join(options["choices"]) in out, (name, arg)
+                assert options.get("help", "") in out, (name, arg)
+
+
+# command lines the parser refuses, each with what is wrong with it
+_REFUSED = (
+    ((), "no command"),
+    (("nonsense",), "an unknown command"),
+    (("classify", "--c", "1/4", "--bogus"), "an unknown flag"),
+    (("--c", "1/4", "classify"), "a command's flag before the command"),
+    (("classify", "--c"), "a missing value"),
+    (("multiplier", "--c", "-5/4", "--period", "2"), "a missing required flag"),
+    (("pn", "--n", "two"), "a bad int"),
+    (("pn", "--n", "1_0"), "an int with an underscore"),
+    (("pn", "--n", "9" * 5000), "an int past the digit limit"),
+    (("verify", "prop3"), "a bad choice"),
+    (("verify",), "a missing positional"),
+    (("verify", "prop1", "prop2"), "an extra positional"),
+    (("verify", "prop1", "--"), "an ambiguous prefix"),
+    (("--json=yes", "verify", "prop1"), "a value given to a flag that takes none"),
+)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _REFUSED], ids=[why for _, why in _REFUSED])
+def test_cli_refusals_print_usage_and_one_error(argv):
+    prog = f"parabkit {argv[0]}" if argv and argv[0] in {row[0] for row in classify._COMMANDS} else "parabkit"
+    code, out, err = run_cli_streams(*argv)
+    usage, error = err.rstrip("\n").split("\n")
+    assert code == 2 and out == ""
+    assert usage.startswith(f"usage: {prog} ")
+    assert error.startswith(f"{prog}: error: ")
+    # and a fresh process exits 2 with the same two lines, no traceback
+    import parabkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parabkit.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", "from parabkit.classify import main; main()", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+
+
+_TABLE_WORDS = sorted(
+    {row[0] for row in classify._COMMANDS}
+    | {arg for row in classify._COMMANDS for arg, _ in row[3]}
+    | {"-h", "--help", "--json", "--quiet", "--js", "--q", "--check", "--nm", "--cy", "--"}
+)
+_TABLE_VALUES = (
+    "prop1", "prop2", "-1", "0", "1", "2", "3", "4", "1/4", "-7/4", "-3/2", "x^2-2", "x^2-2@[1,2]", "4z^2+4z-1",
+)
+_cli_tokens = st.one_of(
+    st.sampled_from(_TABLE_WORDS),
+    st.sampled_from(_TABLE_VALUES),
+    st.builds(lambda flag, value: f"{flag}={value}", st.sampled_from(_TABLE_WORDS), st.sampled_from(_TABLE_VALUES)),
+    st.text(max_size=6),
+)
+
+
+@given(argv=st.lists(_cli_tokens, max_size=7))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cli_exit_codes_on_fuzzed_token_sequences(argv):
+    # any sequence of the table's commands, flags and values, and junk:
+    # an exit code, never an exception
+    code, _, err = run_cli_streams(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_cli_classify_reducible_minpoly():
