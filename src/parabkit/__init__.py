@@ -8,9 +8,9 @@ polynomials with a Kronecker-style root-of-unity test.  ``algebraic`` wraps
 isolated real algebraic numbers with exact comparison and sign evaluation.
 ``dynamics`` studies iteration of f_c(z) = z^2 + c: discriminant polynomials
 P_n and their values at rational parameters, cycle certificates, orbit
-tests, and multiplier polynomials that certify attracting cycles exactly.
-``classify`` assembles the classification pipelines and the ``parabkit``
-command-line tool.
+tests, and an exact interval contraction check that certifies attracting
+cycles.  ``classify`` assembles the classification pipelines and the
+``parabkit`` command-line tool.
 """
 
 from .polyring import (
@@ -84,7 +84,6 @@ from .dynamics import (
     is_parabolic_up_to,
     is_pcf_rational,
     iterate_map,
-    multiplier_polynomial,
     parity_certificate,
     period_poly,
     point_discriminant,

@@ -145,13 +145,21 @@ class ClassificationReport(_Record):
 PROP1_EXPECTED = (Fraction(-2), Fraction(-1), Fraction(0))
 PROP2_EXPECTED = tuple(sorted(_PARABOLIC_CYCLES))
 
-# Candidates eliminated by an attracting cycle: period n and interval (a, b)
-# on which Delta_n(., c) changes sign at c = (-13 + sqrt5)/8.
+# Candidates eliminated by an attracting cycle: period k, multiplier interval
+# (a, b), trap J and enclosure C of c = (-13 + sqrt5)/8.  For every c in C,
+# f_c^k maps J, which holds a point of the 4-cycle near -0.05373, into itself
+# with (f^k)' in (a, b) on J (certify_attracting_cycle).
 _ATTRACTING_CYCLES = {
     make_real_algebraic(
         IntegerPoly((41, 52, 16)),
         RationalInterval(Fraction(-11, 8), Fraction(-21, 16), True, True),
-    ): (4, Fraction(-3, 5), Fraction(-1, 2)),
+    ): (
+        4,
+        Fraction(-3, 5),
+        Fraction(-1, 2),
+        RationalInterval(Fraction(-2687, 50000), Fraction(-1343, 25000)),
+        RationalInterval(Fraction(-1345491503, 10**9), Fraction(-1345491502, 10**9)),
+    ),
 }
 
 # parity_certificate(n) reads P_n at b = -6, that is at c = -3/2.
@@ -278,8 +286,9 @@ def _prop2_certificate(candidate: RealAlgebraic, nmax: int, settled) -> Certific
     elif candidate in _ATTRACTING_CYCLES:
         cycle = certify_attracting_cycle(candidate, *_ATTRACTING_CYCLES[candidate])
         reason = (
-            f"AttractingCycle(period {cycle.period}, Delta_{cycle.period} changes sign on "
-            f"({cycle.lo}, {cycle.hi}), so |multiplier| < {cycle.modulus_bound})"
+            f"AttractingCycle(period {cycle.period}, f^{cycle.period} maps {cycle.trap} into "
+            f"itself with (f^{cycle.period})' in ({cycle.lo}, {cycle.hi}) for c in "
+            f"{cycle.enclosure}, so |multiplier| < {cycle.modulus_bound})"
         )
         return Certificate(candidate, "eliminated", reason, nmax, cycle.modulus_bound)
     for cert in settled:
@@ -302,8 +311,8 @@ def prop2_pipeline(nmax: int = 5) -> ClassificationReport:
     polynomial, which gives five candidates.  Every parameter then goes
     through the one chain of ``_prop2_certificate``, whose steps read two
     tables: ``dynamics._PARABOLIC_CYCLES`` (confirmed by the least vanishing
-    P_n and an exact cycle) and ``_ATTRACTING_CYCLES`` (eliminated by a sign
-    change of Milnor's Delta_n).  The final set must be exactly
+    P_n and an exact cycle) and ``_ATTRACTING_CYCLES`` (eliminated by an
+    exact interval contraction).  The final set must be exactly
     {1/4, -3/4, -5/4, -7/4}.
 
     Every P_n it reads is at a rational point (the parabolic parameters and
@@ -311,17 +320,19 @@ def prop2_pipeline(nmax: int = 5) -> ClassificationReport:
     parity_certificate), so it computes point discriminants and builds no
     bivariate P_n.
 
-    At c = (-13 + sqrt5)/8, Delta_4(., c) changes sign on (-3/5, -1/2), so
-    f_c has an attracting cycle with an f^4-multiplier in that interval and
-    |multiplier| < 3/5.  That cycle has period exactly 4: at real c < 1/4
-    the fixed points z are real, so their f^4-multiplier (2z)^4 is not
-    negative, and the 2-cycle multiplier 4(c + 1) is real, so its square is
-    not negative either.  The smaller candidate is its Galois conjugate.
+    At c = (-13 + sqrt5)/8, f_c^4 maps a rational trap J into itself with
+    (f^4)' in (-3/5, -1/2) on J, for every c in a rational enclosure of the
+    parameter, so f_c has an attracting cycle with an f^4-multiplier in that
+    interval and |multiplier| < 3/5.  That cycle has period exactly 4: at
+    real c < 1/4 the fixed points z are real, so their f^4-multiplier
+    (2z)^4 is not negative, and the 2-cycle multiplier 4(c + 1) is real, so
+    its square is not negative either.  The smaller candidate is its Galois
+    conjugate.
 
     Raises PipelineMismatchError when a recorded expectation fails or no
-    step settles a candidate, and MultiplierMismatchError if the sign change
-    were lost.  An nmax outside 1..DISCRIMINANT_CAP is refused by the first
-    is_parabolic_up_to call.
+    step settles a candidate, and MultiplierMismatchError if the contraction
+    check fails.  An nmax outside 1..DISCRIMINANT_CAP is refused by the
+    first is_parabolic_up_to call.
     """
     start = time.monotonic()
     # the Kronecker stage covers [-2, -5/4)

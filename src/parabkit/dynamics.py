@@ -16,9 +16,10 @@ Moebius quotient of such models.
 The real line is described once: ``escapes`` (the critical orbit is
 bounded exactly on [-2, 1/4]) and one table of the four parabolic
 parameters, with the Fatou windows between them.  Exact cycle multipliers,
-orbit tests for rational parameters, and the multiplier polynomials
-Delta_n(lambda, c) complete the module: an exact sign change of
-Delta_n(., c) inside [-1, 1] certifies an attracting cycle
+orbit tests for rational parameters, and one interval contraction check
+complete the module: a rational trap interval that f_c^k maps into itself,
+with (f^k)' enclosed strictly inside (-1, 1) on it, for every c in a
+rational enclosure of the parameter, certifies an attracting cycle
 (``certify_attracting_cycle``).
 
 Everything is exact integer or rational arithmetic; nothing rounds.
@@ -31,22 +32,21 @@ from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .algebraic import RealAlgebraic, affine_transform, sign_at
-from .cyclotomic import divisors, moebius, moebius_product
+from .cyclotomic import moebius_product
 from .polyring import (
     IntegerPoly,
     IteratedMapPoly,
     NotDivisibleError,
     ParabkitError,
     Rat,
+    RationalInterval,
     discriminant,
     discriminant_in_z,
-    _IPOLY_RING,
     _Record,
     _disc_sign,
     _fp_interpolate,
     _fp_mul,
     _fp_resultant,
-    _prem,
 )
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "escapes",
     "real_behavior",
     "is_parabolic_up_to",
-    "multiplier_polynomial",
     "certify_attracting_cycle",
 ]
 
@@ -114,8 +113,11 @@ class NotAFactorError(ParabkitError):
 class MultiplierMismatchError(ParabkitError):
     """An exact multiplier check failed.
 
-    Either a cycle multiplier differs from the expected value, or
-    Delta_n(., c) does not change sign on the claimed multiplier interval.
+    Either a cycle multiplier differs from the expected value, or the
+    contraction check of ``certify_attracting_cycle`` fails: the parameter
+    lies outside its enclosure, f^k does not map the trap into itself, or
+    the enclosure of (f^k)' on the trap is not inside the claimed multiplier
+    interval.
     """
 
 
@@ -220,13 +222,17 @@ class PcfResult(NamedTuple):
 class AttractingCycleCertificate(_Record):
     """Exact witness of an attracting cycle of f_c.
 
-    Delta_n(lambda, c) takes strictly opposite signs at lambda = lo and
-    lambda = hi, with -1 <= lo < hi <= 1, so some cycle has an f^n-multiplier
-    strictly between them; its modulus is below ``modulus_bound``.
+    For every c in ``enclosure``, which holds ``parameter``, f_c^period
+    maps the closed interval ``trap`` into itself, and (f^period)' on
+    ``trap`` lies strictly between lo and hi, with -1 <= lo < hi <= 1.  So
+    f_c^period fixes a point of ``trap`` whose cycle attracts, with an
+    f^period-multiplier of modulus below ``modulus_bound``.
     """
 
     period: int
     parameter: Union[Fraction, RealAlgebraic]
+    trap: RationalInterval
+    enclosure: RationalInterval
     lo: Fraction
     hi: Fraction
     modulus_bound: Fraction
@@ -636,125 +642,64 @@ def is_parabolic_up_to(c: Union[Rat, RealAlgebraic], nmax: int) -> ParabolicVerd
     return ParabolicVerdict("not-up-to-bound", nmax)
 
 
-def _root_power_sums(monic: list) -> list:
-    """Power sums p_0, ..., p_(m-1) of the roots of a monic polynomial of degree m.
-
-    Newton's identities: p_j + a_(m-1) p_(j-1) + ... + a_(m-j+1) p_1 + j a_(m-j) = 0
-    for the coefficients a_i of z^i, low to high in ``monic``.
-    """
-    m = len(monic) - 1
-    sums = [IntegerPoly.constant(m)]
-    for j in range(1, m):
-        acc = monic[m - j] * j
-        for i in range(1, j):
-            acc = acc + monic[m - i] * sums[j - i]
-        sums.append(-acc)
-    return sums
-
-
-@lru_cache(maxsize=None)
-def _multiplier_polynomial(n: int) -> IteratedMapPoly:
-    derivative = IteratedMapPoly.constant(2**n) * IteratedMapPoly.z()
-    for k in range(1, n):
-        derivative = derivative * _iterate(k)
-    cycles = sum(moebius(n // d) * 2**d for d in divisors(n)) // n
-    # traces[k]: sum of D^k over the roots of the n-th dynatomic polynomial,
-    # which is n times the k-th power sum of the cycle multipliers
-    traces = [IntegerPoly.zero()] * (cycles + 1)
-    for d in divisors(n):
-        mu = moebius(n // d)
-        if mu == 0:
-            continue
-        modulus = list(period_poly(d).coeffs_in_z)
-        root_sums = _root_power_sums(modulus)
-        reduced = IteratedMapPoly(_prem(list(derivative.coeffs_in_z), modulus, _IPOLY_RING))
-        power = IteratedMapPoly.constant(1)
-        for k in range(1, cycles + 1):
-            power = IteratedMapPoly(_prem(list((power * reduced).coeffs_in_z), modulus, _IPOLY_RING))
-            for r, p in zip(power.coeffs_in_z, root_sums):
-                traces[k] = traces[k] + r * p * mu
-    sums = [t.divide_exact(n) for t in traces]
-    # Newton's identities: k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i
-    elementary = [IntegerPoly.one()]
-    for k in range(1, cycles + 1):
-        acc = IntegerPoly.zero()
-        for i in range(1, k + 1):
-            term = elementary[k - i] * sums[i]
-            acc = acc + term if i % 2 else acc - term
-        elementary.append(acc.divide_exact(k))
-    # Delta_n = sum_k (-1)^k e_k lambda^(cycles - k), stored low to high
-    signed = [-e if k % 2 else e for k, e in enumerate(elementary)]
-    return IteratedMapPoly(tuple(reversed(signed)))
-
-
-def multiplier_polynomial(n: int) -> IteratedMapPoly:
-    """Return Delta_n(lambda, c) = prod over the n-cycles of f_c of (lambda - lambda_j).
-
-    The result is monic in lambda over Z[c], stored as an IteratedMapPoly
-    whose variable is lambda; lambda_j = (f^n)'(z) at any point z of the
-    j-th cycle (Milnor, "Geometry and dynamics of quadratic rational maps",
-    Exp. Math. 2, 1993).  With D = (f^n)'(z) = 2^n z f(z) ... f^(n-1)(z),
-    the trace of D^k modulo the monic f^d(z) - z is the sum of D^k over its
-    roots: reduce D^k (remainder by a monic divisor), then pair the
-    coefficients with the Newton power sums of the roots.  The roots of
-    f^n(z) - z are those of the dynatomic polynomials Phi_d, d | n, so the
-    Moebius combination over d | n gives the sum over the roots of Phi_n,
-    n times the k-th power sum of the lambda_j; Newton's identities then
-    give the coefficients.  Every division is exact in Z[c].  The
-    construction specialises at every c: Delta_n(lambda, c)^n equals
-    res_z(Phi_n, lambda - D), the product of lambda - D(z) over the roots z
-    of Phi_n at that c.  Cached per n; capped by DISCRIMINANT_CAP.
-
-    >>> multiplier_polynomial(2).coeffs_in_z  # lambda - 4c - 4
-    (IntegerPoly(coeffs=(-4, -4)), IntegerPoly(coeffs=(1,)))
-    """
-    if n < 1:
-        raise ValueError("period must be at least 1")
-    if n > DISCRIMINANT_CAP:
-        raise CapExceededError(f"discriminant cap is {DISCRIMINANT_CAP}, got n={n}")
-    return _multiplier_polynomial(n)
-
-
-def _at_multiplier(delta: IteratedMapPoly, x: Fraction) -> IntegerPoly:
-    # q^N Delta(p/q, c) for x = p/q and N = deg Delta: an integer polynomial
-    # in c with the sign of Delta(x, c)
-    p, q = x.numerator, x.denominator
-    top = delta.degree_in_z
-    out = IntegerPoly.zero()
-    for i, coeff in enumerate(delta.coeffs_in_z):
-        out = out + coeff * (p**i * q ** (top - i))
-    return out
-
-
 def certify_attracting_cycle(
-    c: Union[Rat, RealAlgebraic], n: int, a: Rat, b: Rat
+    c: Union[Rat, RealAlgebraic],
+    k: int,
+    a: Rat,
+    b: Rat,
+    trap: RationalInterval,
+    enclosure: RationalInterval,
 ) -> AttractingCycleCertificate:
-    """Prove that f_c has an attracting cycle by a sign change of Delta_n(., c).
+    """Prove that f_c has an attracting cycle by exact interval contraction.
 
-    Requires -1 <= a < b <= 1 and strictly opposite signs of Delta_n(a, c)
-    and Delta_n(b, c), taken exactly (``algebraic.sign_at`` at an
-    irrational c, ``IntegerPoly.sign_at`` at a rational one); otherwise
-    MultiplierMismatchError.  The real polynomial Delta_n(., c) then has a
-    root lambda in (a, b).  Since Delta_n(lambda, c)^n is the product of
-    lambda - (f^n)'(z) over the roots z of Phi_n, lambda = (f^n)'(z) at a
-    point with f^n(z) = z; its cycle has some period p | n and a multiplier
-    mu with mu^(n/p) = lambda, so |mu| < 1 and the cycle attracts.  By
-    Fatou's theorem it attracts the one critical point of f_c, so f_c has
-    no parabolic cycle.  ``modulus_bound`` is max(|a|, |b|), above |lambda|.
+    Requires -1 <= a < b <= 1, a closed trap J = ``trap`` and a rational
+    enclosure C = ``enclosure`` of c.  Let Z_0 = J and Z_(i+1) = Z_i^2 + C in
+    exact rational interval arithmetic, where the square of an interval
+    that holds 0 is [0, max(lo^2, hi^2)].  Three checks follow, and a
+    failure of any raises MultiplierMismatchError:
+    * c lies in C, one exact comparison per end (for a RealAlgebraic too);
+    * Z_k lies in J;
+    * 2^k Z_0 Z_1 ... Z_(k-1), which encloses
+      (f^k)'(z) = 2^k z f(z) ... f^(k-1)(z) on J, lies strictly inside (a, b).
+    By induction Z_i holds f_c^i(z) for every z in J, so f_c^k maps J into
+    itself and, by the intermediate value theorem, fixes some z in J, where
+    lambda = (f^k)'(z) lies in (a, b).  The cycle of z has a period p | k
+    and a multiplier mu with mu^(k/p) = lambda, so |mu| < 1 and the cycle
+    attracts.  By Fatou's theorem it attracts the one critical point of
+    f_c, so f_c has no parabolic cycle.  ``modulus_bound`` is
+    max(|a|, |b|), above |lambda|.  (Moore, Interval Analysis, 1966;
+    Krawczyk, Computing 4, 1969.)  Each step doubles the bits of the
+    endpoints, so k is capped by DISCRIMINANT_CAP.
+
+    >>> trap = RationalInterval(Fraction(-1, 4), Fraction(1, 4))
+    >>> certify_attracting_cycle(0, 1, Fraction(-3, 4), Fraction(3, 4), trap, RationalInterval(0, 0)).modulus_bound
+    Fraction(3, 4)
     """
     a, b = Fraction(a), Fraction(b)
     if not -1 <= a < b <= 1:
         raise ValueError(f"multiplier interval ({a}, {b}) must satisfy -1 <= a < b <= 1")
-    delta = multiplier_polynomial(n)
-    if isinstance(c, RealAlgebraic):
-        signs = [sign_at(_at_multiplier(delta, x), c) for x in (a, b)]
-    else:
+    if k < 1:
+        raise ValueError("period must be at least 1")
+    if k > DISCRIMINANT_CAP:
+        raise CapExceededError(f"discriminant cap is {DISCRIMINANT_CAP}, got k={k}")
+    if not isinstance(c, RealAlgebraic):
         c = Fraction(c)
-        signs = [_at_multiplier(delta, x).sign_at(c) for x in (a, b)]
-    if signs[0] * signs[1] != -1:
-        raise MultiplierMismatchError(
-            f"Delta_{n}(lambda, {c}) does not change sign on ({a}, {b})"
-        )
-    return AttractingCycleCertificate(
-        period=n, parameter=c, lo=a, hi=b, modulus_bound=max(abs(a), abs(b))
-    )
+    if not enclosure.lo <= c <= enclosure.hi:
+        raise MultiplierMismatchError(f"{c} is not in the enclosure {enclosure}")
+    lo, hi = trap.lo, trap.hi
+    slope_lo = slope_hi = 2**k
+    for _ in range(k):
+        ends = (slope_lo * lo, slope_lo * hi, slope_hi * lo, slope_hi * hi)
+        slope_lo, slope_hi = min(ends), max(ends)
+        if lo >= 0:
+            lo, hi = lo * lo, hi * hi
+        elif hi <= 0:
+            lo, hi = hi * hi, lo * lo
+        else:
+            lo, hi = 0, max(lo * lo, hi * hi)
+        lo, hi = lo + enclosure.lo, hi + enclosure.hi
+    if not (trap.lo <= lo and hi <= trap.hi):
+        raise MultiplierMismatchError(f"f^{k} does not map {trap} into itself for c in {enclosure}")
+    if not (a < slope_lo and slope_hi < b):
+        raise MultiplierMismatchError(f"(f^{k})' on {trap} is not enclosed in ({a}, {b})")
+    return AttractingCycleCertificate(k, c, trap, enclosure, a, b, max(abs(a), abs(b)))

@@ -527,10 +527,6 @@ class IteratedMapPoly(_Record):
     def c(cls) -> "IteratedMapPoly":
         return cls((IntegerPoly.x(),))
 
-    @classmethod
-    def constant(cls, value) -> "IteratedMapPoly":
-        return cls((value,))
-
     @property
     def degree_in_z(self) -> int:
         return len(self.coeffs_in_z) - 1

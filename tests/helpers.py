@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from hypothesis import strategies as st
 
 from parabkit.algebraic import RealAlgebraic, from_rational, make_real_algebraic
 from parabkit.cyclotomic import cyclotomic_poly, euler_phi, trace_polynomial
@@ -44,6 +45,15 @@ PAPER_CYCLES = (
     (Fraction(-5, 4), IntegerPoly((-1, 4, 4)), 2, Fraction(-1)),
     (Fraction(-7, 4), IntegerPoly((-1, -18, 4, 8)), 3, Fraction(1)),
 )
+
+# Random closed traps [lo, lo + w], lo in [-2, 2] and w in [10^-8, 2], for the
+# negative controls of certify_attracting_cycle.
+TRAPS = st.builds(
+    lambda lo, width: RationalInterval(lo, lo + width),
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**4),
+    st.fractions(min_value=Fraction(1, 10**8), max_value=2, max_denominator=10**8),
+)
+
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import helpers
 from parabkit import cyclotomic as _cyclotomic
@@ -28,7 +27,7 @@ from parabkit.dynamics import (
     verify_cycle,
 )
 from parabkit.classify import prop1_pipeline, prop2_pipeline
-from parabkit.polyring import IntegerPoly
+from parabkit.polyring import IntegerPoly, RationalInterval
 
 
 def _clear_caches():
@@ -162,21 +161,16 @@ def test_criterion_7_property_suites(capfd):
         helpers.check_parser_roundtrip(cases=60)
 
 
-_multiplier_ends = st.fractions(min_value=-1, max_value=1, max_denominator=50)
-
-
-@given(_multiplier_ends, _multiplier_ends)
-@example(F(-1), F(1))
-@example(F(0), F(1))
-@example(F(1, 2), F(1))
+@given(helpers.TRAPS)
+@example(RationalInterval(F(-19, 10), F(19, 10)))
+@example(RationalInterval(F(-1, 100), F(1, 100)))
 @settings(max_examples=100, deadline=None, derandomize=True)
-def _refuses_the_parabolic_three_cycle(a, b):
-    # Delta_3(lambda, -7/4) = (lambda - 1)^2 never changes sign, and
-    # lambda = 1 is a double root: no interval inside [-1, 1] certifies
-    if a == b:
-        return
+def _refuses_the_parabolic_three_cycle(trap):
+    # the parabolic 3-cycle of f_(-7/4) attracts the one critical point, so
+    # by Fatou's theorem no cycle attracts and no trap certifies one; f maps
+    # [-19/10, 19/10] into itself, and near 0 (f^3)' is small
     with pytest.raises(MultiplierMismatchError):
-        certify_attracting_cycle(F(-7, 4), 3, min(a, b), max(a, b))
+        certify_attracting_cycle(F(-7, 4), 3, -1, 1, trap, RationalInterval(F(-7, 4), F(-7, 4)))
 
 
 def test_criterion_8_negative_controls(capfd):

@@ -12,13 +12,17 @@ line would name other metrics than BENCHMARK.json, or hold a value JSON
 cannot carry (NaN, infinity), fails here.  The PRS counts are checked by
 value too: each P_n's degree and coefficient bits, and positive product and
 division counts, which read 0 if the PRS stopped calling the counted
-methods.  It reads perfbench/ and changes nothing there.
+methods.  A second test runs one traced ``verify prop2`` the way the
+cold-cli workload does, through perfbench/traced_cli.py in a fresh process,
+and folds its span summary into the cold-cli layer metrics.  Both read
+perfbench/ and change nothing there.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -65,6 +69,25 @@ print(json.dumps({
 """
 
 
+# Folds a traced_cli.py span summary into run.py's cold-cli layer metrics and
+# prints them as a result line would carry them.
+TRACED_PROBE = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import run, tracer
+
+with open(sys.argv[1]) as fh:
+    summary = json.load(fh)
+merged = tracer.merge([(summary, 1.0)])
+metrics = run.per_layer("cold-cli", merged, float(sys.argv[2]), 1.0, 0.0, {}, run.source_lines("."))
+print(json.dumps({
+    "ops": merged["ops"],
+    "traced": sorted(merged["totals"]),
+    "metrics": {name: v[0] for name, v in metrics.items()},
+}, allow_nan=False))
+"""
+
+
 def _no_constant(name):
     raise ValueError(f"non-finite value {name} in a result line")
 
@@ -98,3 +121,35 @@ def test_perfbench_runs_against_the_package():
         declared = json.load(fh)
     for mode in ("per_layer", "end_to_end"):
         assert set(out["metrics"][mode]) == {m["name"] for m in declared[mode]}, mode
+
+
+def test_traced_cold_verify_prop2_folds_into_finite_metrics(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    spans = str(tmp_path / "spans.json")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "traced_cli.py"), "verify", "prop2", "--json"],
+        cwd=ROOT,
+        env=dict(env, PERFBENCH_TRACE_OUT=spans),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    wall = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["proposition"] == "prop2"
+    folded = subprocess.run(
+        [sys.executable, "-c", TRACED_PROBE, spans, repr(wall)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert folded.returncode == 0, folded.stderr
+    out = json.loads(folded.stdout.strip().splitlines()[-1], parse_constant=_no_constant)
+    assert out["ops"] == 1
+    assert {"classify.cli_main", "classify.prop2_pipeline", "dynamics.certify_attracting_cycle"} <= set(
+        out["traced"]
+    )
+    assert out["metrics"]["classify.prop2_pipeline.calls"] == 1

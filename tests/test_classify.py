@@ -32,7 +32,7 @@ from parabkit.classify import (
 from parabkit import classify
 from parabkit.classify import _prop2_candidates
 from parabkit.algebraic import NotIsolatingError, from_rational, make_real_algebraic
-from parabkit.dynamics import ParabolicVerdict
+from parabkit.dynamics import ParabolicVerdict, ParityCertificate
 from parabkit.polyring import (
     IntegerPoly,
     ParseError,
@@ -236,6 +236,19 @@ def test_prop2_certificate_calls(monkeypatch):
 
 def test_prop2_refuses_an_invalid_parity_certificate(monkeypatch):
     monkeypatch.setattr(classify, "parity_certificate", lambda n: types.SimpleNamespace(is_valid=False))
+    with pytest.raises(PipelineMismatchError, match="parity certificate failed at n=1"):
+        prop2_pipeline()
+
+
+def test_prop2_refuses_an_even_value_at_minus_six(monkeypatch):
+    # a real certificate whose P_n(-6) bit is even while the other two hold
+    original = classify.parity_certificate
+
+    def even_at_minus_six(n):
+        cert = original(n)
+        return ParityCertificate(n, cert.value_at_0_mod2, 0, cert.cross_check_disc_z2n)
+
+    monkeypatch.setattr(classify, "parity_certificate", even_at_minus_six)
     with pytest.raises(PipelineMismatchError, match="parity certificate failed at n=1"):
         prop2_pipeline()
 

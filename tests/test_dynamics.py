@@ -1,12 +1,13 @@
 """Iterates, discriminant polynomials, cycles, orbits, and multiplier certificates."""
 
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -17,6 +18,7 @@ from parabkit.dynamics import (
     MultiplierMismatchError,
     NotAFactorError,
     ParabolicVerdict,
+    ParityCertificate,
     RealBehavior,
     certify_attracting_cycle,
     cycle_multiplier,
@@ -26,7 +28,6 @@ from parabkit.dynamics import (
     is_parabolic_up_to,
     is_pcf_rational,
     iterate_map,
-    multiplier_polynomial,
     parity_certificate,
     period_poly,
     point_discriminant,
@@ -40,6 +41,7 @@ from parabkit.algebraic import (
     make_real_algebraic,
     sign_at,
 )
+from parabkit import classify
 from parabkit.classify import parse_parameter
 from parabkit.polyring import (
     IntegerPoly,
@@ -50,6 +52,7 @@ from parabkit.polyring import (
     parse_poly,
     resultant,
     squarefree_part,
+    sturm_count,
 )
 from parabkit.polyring import _fp_resultant
 
@@ -148,6 +151,14 @@ def test_parity_certificates_against_frozen_oracles():
         assert discriminant_Pn(n).coeff(0) == DISC_Z2N[n], n
         assert int(helpers.evaluate(discriminant_Pn(n), -6)) == PN_AT_MINUS6[n], n
         assert DISC_Z2N[n] % 2 == 1 and PN_AT_MINUS6[n] % 2 == 1
+
+
+def test_parity_certificate_needs_every_bit():
+    # prop2 eliminates -3/2 on value_at_minus6_mod2; each bit alone at 0
+    # makes the certificate invalid
+    assert ParityCertificate(3, 1, 1, 1).is_valid
+    for bits in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        assert not ParityCertificate(3, *bits).is_valid, bits
 
 
 def test_point_discriminant_against_frozen_oracles():
@@ -717,107 +728,85 @@ def test_witness_primes():
     assert all(sympy.isprime(p) and top < p < 2**30 for p in primes)
 
 
-def _in_c(*texts):
-    # coefficients in c of a polynomial in lambda, low to high in lambda
-    return tuple(
-        IntegerPoly(tuple(int(k) for k in helpers.parse_rational_poly(t, var="c").coeffs)) for t in texts
-    )
+# The row of prop2's attracting-cycle table: period, multiplier interval,
+# trap and enclosure of c = (-13 + sqrt5)/8.
+(_PROP2_ROW,) = classify._ATTRACTING_CYCLES.values()
+
+# The roots of this sextic are the f^4-multipliers of the 4-cycles of f_c at
+# both roots of 16x^2 + 52x + 41: it is the norm from Q(sqrt5), up to a
+# power of 2, of the monic polynomial whose roots are the 4-cycle
+# multipliers at one root (Milnor, Exp. Math. 2, 1993).
+_MULTIPLIER_SEXTIC = IntegerPoly((1135061, 1930947, 69670, 10807, 922, -9, 1))
 
 
-def test_multiplier_polynomial_closed_forms():
-    assert multiplier_polynomial(1).coeffs_in_z == _in_c("4c", "-2", "1")
-    assert multiplier_polynomial(2).coeffs_in_z == _in_c("-4(c+1)", "1")
-    assert multiplier_polynomial(3).coeffs_in_z == _in_c("64(c^3+2c^2+c+1)", "-(8c+16)", "1")
-    assert multiplier_polynomial(4).coeffs_in_z == _in_c(
-        "-4096(c^6+3c^5+3c^4+3c^3+2c^2+1)",
-        "-(256c^4+256c^3-256c^2-768)",
-        "16c^2-48",
-        "1",
-    )
-    # (lambda - 1)^2 at -7/4, where the two 3-cycles collide
-    assert helpers.evaluate_at_c(multiplier_polynomial(3), F(-7, 4)) == helpers.parse_rational_poly("(x-1)^2")
-    # one factor per n-cycle: (sum over d | n of mu(n/d) 2^d) / n
-    for n, cycles in zip(range(1, 6), (2, 1, 2, 3, 6)):
-        delta = multiplier_polynomial(n)
-        assert delta.degree_in_z == cycles and delta.leading_in_z == IntegerPoly.one()
+def _mp(x):
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
-@given(
-    n=st.integers(min_value=1, max_value=4),
-    c=st.fractions(min_value=-2, max_value=F(1, 4), max_denominator=6),
-    a=st.fractions(min_value=-3, max_value=3, max_denominator=6),
-)
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_multiplier_polynomial_against_prs(n, c, a):
-    # res_z(Phi_n, a - (f^n)'(z)) = Delta_n(a, c)^n, by the subresultant PRS
-    # over Q at a rational point, for the monic Phi_n
-    derivative = helpers.evaluate_at_c(iterate_map(n).derivative_z(), c)
-    phi = helpers.RationalPoly(dynatomic_poly(n, c).coeffs)
-    phi = phi * (1 / phi.leading)
-    res = helpers.rational_resultant(phi, helpers.RationalPoly.constant(a) - derivative)
-    delta = helpers.evaluate_at_c(multiplier_polynomial(n), c)
-    assert res == helpers.evaluate(delta, a) ** n
-
-
-def test_multiplier_polynomial_norm_at_the_quadratic_pair():
-    # the norm of Delta_4 from Q(sqrt5) is 2^24 times the sextic whose root
-    # in (-1, 0) is the multiplier of the attracting 4-cycle
-    sextic = IntegerPoly((1135061, 1930947, 69670, 10807, 922, -9, 1))
-    delta = multiplier_polynomial(4)
-    for t in range(-8, 9):
-        at_t = sum((k * t**i for i, k in enumerate(delta.coeffs_in_z)), IntegerPoly.zero())
-        assert resultant(IntegerPoly((41, 52, 16)), at_t) == 2**24 * helpers.evaluate(sextic, t), t
-
-
-def test_multiplier_polynomial_guards():
-    with pytest.raises(ValueError):
-        multiplier_polynomial(0)
-    with pytest.raises(CapExceededError):
-        multiplier_polynomial(6)
+def _point(c):
+    return RationalInterval(c, c)
 
 
 def test_numeric_certificate_period_four():
-    cert = certify_attracting_cycle(_candidate_high(), 4, F(-3, 5), F(-1, 2))
+    k, a, b, trap, enclosure = _PROP2_ROW
+    cert = certify_attracting_cycle(_candidate_high(), k, a, b, trap, enclosure)
     assert (cert.period, cert.lo, cert.hi, cert.modulus_bound) == (4, F(-3, 5), F(-1, 2), F(3, 5))
-    # independent high-precision orbit oracle for the multiplier
+    assert (cert.trap, cert.enclosure) == (trap, enclosure)
+    # independent high-precision orbit oracle: the enclosure holds c, the
+    # trap holds the cycle point the critical orbit converges to, and the
+    # multiplier lies in the certified interval
     with mpmath.workdps(120):
         c = (-13 + mpmath.sqrt(5)) / 8
+        assert _mp(enclosure.lo) < c < _mp(enclosure.hi)
         z = mpmath.mpf(0)
         for _ in range(2000):
             z = z * z + c
+        assert _mp(trap.lo) < z < _mp(trap.hi)
         lam = mpmath.mpf(1)
         for _ in range(4):
             lam *= 2 * z
             z = z * z + c
         assert mpmath.mpf(-3) / 5 < lam < mpmath.mpf(-1) / 2
-    # the conjugate has no multiplier in [-1, 1]
-    low = make_real_algebraic(IntegerPoly((41, 52, 16)), isolate_real_roots(IntegerPoly((41, 52, 16)))[0])
-    with pytest.raises(MultiplierMismatchError):
-        certify_attracting_cycle(low, 4, -1, 1)
+
+
+def test_numeric_certificate_interval_holds_one_sextic_root():
+    # exactly one 4-cycle multiplier at either root lies in [-1, 1], and the
+    # certified interval holds it
+    k, a, b, trap, enclosure = _PROP2_ROW
+    cert = certify_attracting_cycle(_candidate_high(), k, a, b, trap, enclosure)
+    assert sturm_count(_MULTIPLIER_SEXTIC, RationalInterval(cert.lo, cert.hi, True, True)) == 1
+    assert sturm_count(_MULTIPLIER_SEXTIC, RationalInterval(-1, 1)) == 1
 
 
 def test_numeric_certificate_superattracting():
-    # Delta_2(lambda, -1) = lambda: the 2-cycle {0, -1} has multiplier 0
+    # the 2-cycle {0, -1} of f_(-1) has multiplier 0; the trap holds 0
     eps = F(1, 10**50)
-    cert = certify_attracting_cycle(F(-1), 2, -eps, eps)
+    trap = RationalInterval(-eps / 100, eps / 100)
+    cert = certify_attracting_cycle(F(-1), 2, -eps, eps, trap, _point(F(-1)))
     assert cert.modulus_bound == eps
     with pytest.raises(MultiplierMismatchError):
-        certify_attracting_cycle(F(-1), 2, eps, 2 * eps)
-
-
-def test_numeric_certificate_rejects_parabolic_cycle():
-    for a, b in ((-1, 1), (0, 1), (F(1, 2), 1), (-1, F(99, 100))):
-        with pytest.raises(MultiplierMismatchError):
-            certify_attracting_cycle(F(-7, 4), 3, a, b)
+        certify_attracting_cycle(F(-1), 2, eps, 2 * eps, trap, _point(F(-1)))
 
 
 def test_numeric_certificate_fixed_point():
     # the fixed-point multipliers at c = 1/8 are 1 -+ sqrt(1/2)
-    cert = certify_attracting_cycle(F(1, 8), 1, F(1, 4), F(1, 3))
+    trap = RationalInterval(F(7, 50), F(3, 20))
+    cert = certify_attracting_cycle(F(1, 8), 1, F(1, 4), F(1, 3), trap, _point(F(1, 8)))
     assert cert.modulus_bound == F(1, 3)
     assert (1 - F(1, 3)) ** 2 < F(1, 2) < (1 - F(1, 4)) ** 2  # so 1/4 < 1 - sqrt(1/2) < 1/3
     with pytest.raises(MultiplierMismatchError):
-        certify_attracting_cycle(F(1, 8), 1, F(1, 3), 1)
+        certify_attracting_cycle(F(1, 8), 1, F(1, 3), 1, trap, _point(F(1, 8)))
+
+
+def _around_two_cycle_point(c, radius):
+    # [p - radius, p + radius] for the 2-cycle point p = (-1 + sqrt(-3 - 4c))/2
+    # of f_c, with sqrt(u/v) = sqrt(uv)/v taken by an integer square root to
+    # within 10^-40/v
+    d = -3 - 4 * c
+    scale = 10**40
+    root = F(math.isqrt(d.numerator * d.denominator * scale**2), d.denominator * scale)
+    p = (root - 1) / 2
+    return RationalInterval(p - radius, p + radius)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -828,20 +817,107 @@ def test_numeric_certificate_fixed_point():
 )
 def test_numeric_two_cycle_bound_covers_exact_multiplier(c, below, above):
     # For -5/4 < c < -3/4 the 2-cycle has the exact multiplier 4(c + 1),
-    # inside (-4/5, 4/5) here: an interval around it certifies, one beside
-    # it does not.
+    # inside (-4/5, 4/5) here: a narrow trap around a cycle point certifies
+    # an interval around it, and not one beside it.
     lam = 4 * (c + 1)
-    cert = certify_attracting_cycle(c, 2, lam - below, lam + above)
+    trap = _around_two_cycle_point(c, min(below, above) / 64)
+    cert = certify_attracting_cycle(c, 2, lam - below, lam + above, trap, _point(c))
     assert abs(lam) < cert.modulus_bound < 1
     with pytest.raises(MultiplierMismatchError):
-        certify_attracting_cycle(c, 2, lam + above, min(lam + 2 * above, 1))
+        certify_attracting_cycle(c, 2, lam + above, min(lam + 2 * above, 1), trap, _point(c))
 
 
 def test_numeric_certificate_guards():
+    trap = RationalInterval(F(-1, 10), F(1, 10))
     with pytest.raises(CapExceededError):
-        certify_attracting_cycle(F(-1), 6, -1, 1)
+        certify_attracting_cycle(F(-1), 6, -1, 1, trap, _point(F(-1)))
     with pytest.raises(ValueError):
-        certify_attracting_cycle(F(-1), 0, -1, 1)
+        certify_attracting_cycle(F(-1), 0, -1, 1, trap, _point(F(-1)))
     for a, b in ((F(-11, 10), 0), (0, F(11, 10)), (F(1, 2), F(1, 2)), (F(1, 2), 0)):
         with pytest.raises(ValueError):
-            certify_attracting_cycle(F(-1), 2, a, b)
+            certify_attracting_cycle(F(-1), 2, a, b, trap, _point(F(-1)))
+    # a trap and multiplier interval that certify c = -1 prove nothing for
+    # a parameter outside the enclosure
+    assert certify_attracting_cycle(F(-1), 2, -1, 1, trap, _point(F(-1))).modulus_bound == 1
+    with pytest.raises(MultiplierMismatchError):
+        certify_attracting_cycle(F(-1, 10**9) - 1, 2, -1, 1, trap, _point(F(-1)))
+
+
+def _enclosure(alpha):
+    # the isolation of alpha refined to width 10^-12, as a closed interval
+    iso = alpha.refined(F(1, 10**12)).isolation
+    return RationalInterval(iso.lo, iso.hi)
+
+
+_CUBIC_PARAMETER = parse_parameter("64x^3+144x^2+108x+135@[-2,-15/8]")
+
+# Parabolic parameters with a period k of their parabolic cycle, an
+# enclosure, and a trap [-beta, beta] that f_c maps into itself (c >= -beta
+# and beta^2 + c <= beta), so that only the derivative bound refuses it.
+_PARABOLIC_CONTROLS = (
+    (F(-5, 4), 2, _point(F(-5, 4)), F(17, 10)),
+    (F(-7, 4), 3, _point(F(-7, 4)), F(19, 10)),
+    (_CUBIC_PARAMETER, 4, _enclosure(_CUBIC_PARAMETER), F(39, 20)),
+)
+
+
+@given(st.sampled_from(_PARABOLIC_CONTROLS), helpers.TRAPS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_numeric_certificate_rejects_parabolic_cycle(control, trap):
+    # Negative control.  At a parabolic parameter the parabolic cycle
+    # attracts the one critical point, so by Fatou's theorem no cycle
+    # attracts, and no trap may certify one even with (a, b) = (-1, 1).
+    c, k, enclosure, beta = control
+    for j in (trap, RationalInterval(-beta, beta)):
+        with pytest.raises(MultiplierMismatchError):
+            certify_attracting_cycle(c, k, -1, 1, j, enclosure)
+
+
+def _conjugate_low():
+    m = IntegerPoly((41, 52, 16))
+    return make_real_algebraic(m, isolate_real_roots(m)[0])
+
+
+@given(helpers.TRAPS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_numeric_certificate_refuses_the_conjugate(trap):
+    # Negative control.  At c = (-13 - sqrt5)/8 < -5/4 the fixed points and
+    # the 2-cycle repel, and no 4-cycle multiplier lies in [-1, 1] (the
+    # sextic's one root there belongs to the conjugate), so no trap certifies
+    # a cycle of period dividing 4.
+    low = _conjugate_low()
+    for j in (trap, RationalInterval(F(-39, 20), F(39, 20))):
+        with pytest.raises(MultiplierMismatchError):
+            certify_attracting_cycle(low, 4, -1, 1, j, _enclosure(low))
+
+
+def test_numeric_certificate_refuses_a_parameter_outside_its_enclosure():
+    # the trap and enclosure that certify the high root say nothing about
+    # the low one, which lies outside the enclosure
+    with pytest.raises(MultiplierMismatchError, match="not in the enclosure"):
+        certify_attracting_cycle(_conjugate_low(), *_PROP2_ROW)
+
+
+@given(
+    st.fractions(min_value=-2, max_value=F(1, 4), max_denominator=100),
+    st.integers(min_value=1, max_value=3),
+    helpers.TRAPS,
+)
+@example(F(-13, 50), 1, RationalInterval(F(-1, 4), F(1, 4)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_numeric_certificate_holds_at_sample_points(c, k, trap):
+    # An accepted certificate holds pointwise: f_c^k maps the ends, the
+    # midpoint and 0 (when in the trap) of the trap into it, with (f^k)'
+    # strictly inside (-1, 1) there.  The example's trap holds 0, which f_c
+    # maps to c = -13/50, outside it.
+    try:
+        certify_attracting_cycle(c, k, -1, 1, trap, _point(c))
+    except MultiplierMismatchError:
+        return
+    samples = {trap.lo, trap.midpoint, trap.hi} | ({F(0)} if trap.lo <= 0 <= trap.hi else set())
+    for z in samples:
+        slope = 1
+        for _ in range(k):
+            slope *= 2 * z
+            z = z * z + c
+        assert trap.lo <= z <= trap.hi and -1 < slope < 1

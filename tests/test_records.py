@@ -48,8 +48,12 @@ _RECORDS = [
     ),
     (ParabolicVerdict("parabolic", 4), "ParabolicVerdict(kind='parabolic', n=4)"),
     (
-        AttractingCycleCertificate(4, _SQRT2, F(-1, 2), F(1, 2), F(3, 4)),
+        AttractingCycleCertificate(
+            4, _SQRT2, RationalInterval(0, F(1, 8)), RationalInterval(1, 2), F(-1, 2), F(1, 2), F(3, 4)
+        ),
         "AttractingCycleCertificate(period=4, parameter=RealAlgebraic(x^2-2@[1,2]),"
+        " trap=RationalInterval(lo=Fraction(0, 1), hi=Fraction(1, 8), lo_strict=False, hi_strict=False),"
+        " enclosure=RationalInterval(lo=Fraction(1, 1), hi=Fraction(2, 1), lo_strict=False, hi_strict=False),"
         " lo=Fraction(-1, 2), hi=Fraction(1, 2), modulus_bound=Fraction(3, 4))",
     ),
     (
